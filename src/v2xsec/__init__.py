@@ -46,7 +46,6 @@ from .identity import (
     PseudonymChangePolicy,
     verify_certificate,
 )
-from .policy import PolicySet, VehiclePolicy
 from .suites import FastHashSuite, P224Suite, get_suite
 
 __version__ = "0.1.0"
@@ -88,8 +87,6 @@ __all__ = [
     "Pseudonym",
     "PseudonymChangePolicy",
     "verify_certificate",
-    "PolicySet",
-    "VehiclePolicy",
     "FastHashSuite",
     "P224Suite",
     "get_suite",

@@ -7,12 +7,12 @@ beacon. After a pseudonym change the certificate rides on the next beta
 beacons regardless of strategy, so neighbors can pick up the new identity
 quickly.
 
-Receivers keep a neighbor table keyed by short pseudonym ids, cache verified
-certificates, and push all cryptographic checks through a budgeted FIFO
-verification queue (a few dozen verifications per second is all a realistic
-onboard unit can afford). Beacons reach the application only after their
-signature, and on first contact the sender's certificate, have verified:
-unverified traffic stays pending and is never delivered.
+Receivers keep a neighbor table keyed by short pseudonym ids, cache the keys
+of verified certificates, and push all cryptographic checks through a
+budgeted FIFO verification queue (a few dozen verifications per second is all
+a realistic onboard unit can afford). Beacons reach the application only
+after their signature, and on first contact the sender's certificate, have
+verified: unverified traffic stays pending and is never delivered.
 
 Wire format of a secured beacon (fixed sizes): 2-byte type tag, 4-byte
 pseudonym id, 40-byte beacon body, 72-byte timestamped signature, 1-byte
@@ -248,16 +248,13 @@ class SecuredBeacon:
 
 
 class NeighborEntry:
-    __slots__ = ("pseudonym_id", "first_seen", "last_seen", "heading",
-                 "verified", "certificate", "public_key")
+    __slots__ = ("pseudonym_id", "first_seen", "last_seen", "verified", "public_key")
 
-    def __init__(self, pseudonym_id: bytes, now: int, heading: float) -> None:
+    def __init__(self, pseudonym_id: bytes, now: int) -> None:
         self.pseudonym_id = pseudonym_id
         self.first_seen = now
         self.last_seen = now
-        self.heading = heading
         self.verified = False
-        self.certificate: CompactCertificate | None = None
         self.public_key: bytes | None = None
 
 
@@ -284,16 +281,14 @@ class NeighborTable:
     def get(self, pseudonym_id: bytes) -> NeighborEntry | None:
         return self.entries.get(pseudonym_id)
 
-    def observe(self, pseudonym_id: bytes, now: int, heading: float) -> NeighborEntry:
+    def observe(self, pseudonym_id: bytes, now: int) -> NeighborEntry:
         entry = self.entries.get(pseudonym_id)
         if entry is None:
-            entry = NeighborEntry(pseudonym_id, now, heading)
+            entry = NeighborEntry(pseudonym_id, now)
             self.entries[pseudonym_id] = entry
             self.new_since_mark = True
-        else:
-            if now > entry.last_seen:
-                entry.last_seen = now
-            entry.heading = heading
+        elif now > entry.last_seen:
+            entry.last_seen = now
         return entry
 
     def mark_beacon_sent(self) -> None:
@@ -491,13 +486,12 @@ class BeaconSecurity:
         window = self.freshness_window_ms
         if delta > window or -delta > window:
             return self._discard(DISCARD_STALE)
-        heading = beacon.heading
         if self.opposite_flow_filter:
-            delta_h = heading - self.own_heading
+            delta_h = beacon.heading - self.own_heading
             if delta_h != 0.0 and math.cos(delta_h) < 0.0:
                 return self._discard(DISCARD_OPPOSITE)
         pid = sb.signer_pseudonym_id
-        entry = self.neighbors.observe(pid, now, heading)
+        entry = self.neighbors.observe(pid, now)
         if entry.verified:
             job = (sb, entry.public_key)
         elif sb.certificate is not None:
@@ -601,21 +595,22 @@ class BeaconSecurity:
     def _verify_first_contact(self, sb: SecuredBeacon, now: int) -> ReceiveDisposition:
         """Check the attached certificate, then the signature under its key.
 
-        A bad certificate costs one unit (the signature is never tried);
-        every other outcome costs two.
+        The certificate must also be the one the claimed pseudonym id names,
+        since the signature does not cover the id. A bad certificate costs one
+        unit (the signature is never tried); every other outcome costs two.
         """
         cert = sb.certificate
         assert cert is not None
-        if not verify_certificate(cert, self.issuer_public_key, now, self.suite):
+        pid = sb.signer_pseudonym_id
+        if pid != cert.pseudonym_id() or not verify_certificate(
+                cert, self.issuer_public_key, now, self.suite):
             return self._discard(DISCARD_BAD_CERTIFICATE)
         public_key = cert.subject_public_key
         if not self.suite.verify(public_key, sb.signed_payload, sb.blob.signature):
             return self._discard(DISCARD_BAD_SIGNATURE)
-        pid = sb.signer_pseudonym_id
         entry = self.neighbors.get(pid)
         if entry is not None:
             entry.verified = True
-            entry.certificate = cert
             entry.public_key = public_key
         self.delivered_count += 1
         if self.deliver is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Callable, Iterable
 
@@ -40,10 +40,6 @@ class DuplicateHandlerError(HookError):
 
 class UnsupportedCommandError(HookError):
     pass
-
-
-class ReinsertLimitError(HookError):
-    """A message exceeded the reinsertion depth budget at one point."""
 
 
 class IlpPosition(IntEnum):
@@ -74,15 +70,12 @@ class Direction(Enum):
 class Message:
     """A stack message: 16-bit type tag plus opaque body bytes.
 
-    ``parsed`` optionally carries a pre-decoded object for in-process
-    delivery, so bulk simulations do not re-parse identical bytes at every
-    receiver. The byte fields stay authoritative; ``parsed`` never crosses a
-    real wire and is excluded from equality.
+    Handlers that need the decoded content parse the body themselves; the
+    message carries nothing that would not cross a real wire.
     """
 
     type_tag: int
     body: bytes
-    parsed: object | None = field(default=None, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         return struct.pack(">H", self.type_tag) + self.body

@@ -3,8 +3,10 @@
 A single carriageway of platooning vehicles beacons at a fixed interval under
 one of three modes: no vehicular communication at all, unsecured beacons, or
 the full secured stack (HSM, pseudonyms, certificate omission, budgeted
-verification) wired through the hook framework exactly as a real node would
-be.
+verification). Each node's emissions go down its hook stack, which frames them
+and applies link-address changes on a pseudonym change; each heard beacon goes
+straight into the receiver's ``BeaconSecurity`` (secured) or the application
+(unsecured).
 
 Determinism: one virtual clock drives every component; all randomness comes
 from named streams derived from the scenario seed; the event queue orders
@@ -49,16 +51,7 @@ from ..beaconing import (
     SecuredBeacon,
 )
 from ..clocks import VirtualClock
-from ..hooks import (
-    Direction,
-    Disposition,
-    HandlerRegistration,
-    HookStack,
-    IlpPosition,
-    Message,
-    RawEthernetAdapter,
-    SetLinkAddress,
-)
+from ..hooks import HookStack, Message, RawEthernetAdapter, SetLinkAddress
 from ..hsm import Hsm
 from ..identity import CertificateAuthority, IdentityManager, PseudonymChangePolicy
 from ..suites import get_suite
@@ -95,31 +88,26 @@ def _strategy_from_config(config: ScenarioConfig) -> OmissionStrategy:
 class _Node:
     """Per-vehicle protocol state for the communicating modes."""
 
-    __slots__ = ("stack", "bsec", "identity", "first_heard", "trusted", "rx")
+    __slots__ = ("stack", "bsec", "first_heard", "trusted")
 
     def __init__(self) -> None:
         self.stack: HookStack | None = None
         self.bsec: BeaconSecurity | None = None
-        self.identity: IdentityManager | None = None
         self.first_heard: dict[bytes, int] = {}
         self.trusted: set[bytes] = set()
-        self.rx = None  # bound fast-path receive callable
 
 
 class HighwaySimulation:
-    def __init__(self, config: ScenarioConfig, rx_through_stack: bool = False) -> None:
+    def __init__(self, config: ScenarioConfig) -> None:
         config.validate()
         self.config = config
-        # Receptions normally call the security layer directly; the hook-stack
-        # path is behaviorally identical (one registered handler that consumes
-        # the message) and stays available for equivalence checks.
-        self.rx_through_stack = rx_through_stack
         self.clock = VirtualClock(0)
         self.now = 0
         # Config values read on every event, derived once.
         self.duration_ms = config.duration_ms
         self.warmup_ms = config.warmup_ms
         self.secured = config.security_mode == "secured"
+        self._app = self._app_on_beacon if config.braking_enabled else None
         self.suite = get_suite(config.crypto)
         self.metrics = RunMetrics(
             scenario_id=config.name,
@@ -238,47 +226,21 @@ class HighwaySimulation:
                 suite=self.suite,
             )
             stack = HookStack(RawEthernetAdapter(self._link_address(vid)))
-            stack.register_handler(
-                IlpPosition.ABOVE_MAC,
-                HandlerRegistration(
-                    handler_id="beacon-security",
-                    priority=10,
-                    message_types=frozenset({SECURED_BEACON_TYPE}),
-                    directions=frozenset({Direction.UP}),
-                ),
-                self._make_receive_handler(vid),
-            )
             node.stack = stack
             node.bsec = bsec
-            node.identity = identity
-            node.rx = bsec.on_receive
             self.nodes.append(node)
             event = identity.activate_next(0, self.change_policy)
             bsec.on_pseudonym_change(event)
             stack.command(SetLinkAddress(event.new_link_address))
-        self._security_layers = [n.bsec for n in self.nodes if n.bsec is not None]
-        self._rx = [n.rx for n in self.nodes]
+        self._security_layers = [n.bsec for n in self.nodes]
+        self._rx = [bsec.on_receive for bsec in self._security_layers]
         self._first_heard = [n.first_heard for n in self.nodes]
-
-    def _make_receive_handler(self, vid: int):
-        def handler(message: Message, direction: Direction) -> Disposition:
-            sb = message.parsed
-            if sb is None:
-                sb = SecuredBeacon.from_bytes(message.body)
-            bsec = self.nodes[vid].bsec
-            assert bsec is not None
-            bsec.on_receive(sb, self.now)
-            # Trust-gated path: the application only sees verified beacons,
-            # delivered through the callback, never via stack passthrough.
-            return Disposition.drop()
-
-        return handler
 
     def _make_deliver(self, vid: int, node: _Node):
         trusted = node.trusted
         first_heard = node.first_heard
         time_to_trust = self.metrics.time_to_trust_ms
-        app = self._app_on_beacon if self.config.braking_enabled else None
+        app = self._app
 
         def deliver(sb: SecuredBeacon, now: int) -> None:
             pid = sb.signer_pseudonym_id
@@ -389,11 +351,12 @@ class HighwaySimulation:
             event = bsec.change_if_due(now, self.change_policy)
             if event is not None:
                 stack.command(SetLinkAddress(event.new_link_address))
-            sb = bsec.make_beacon(beacon, now)
-            message = Message(SECURED_BEACON_TYPE, sb.to_bytes(), sb)
-            with_cert = sb.certificate is not None
+            sent = bsec.make_beacon(beacon, now)
+            message = Message(SECURED_BEACON_TYPE, sent.to_bytes())
+            with_cert = sent.certificate is not None
         else:
-            message = Message(PLAIN_BEACON_TYPE, beacon.pack(), beacon)
+            sent = beacon
+            message = Message(PLAIN_BEACON_TYPE, beacon.pack())
             with_cert = False
         frame = stack.transmit(message)
         assert frame is not None
@@ -411,68 +374,45 @@ class HighwaySimulation:
         receivers = self.in_range[vid]
         if receivers:
             self._deliveries.append((now + config.propagation_delay_ms, _K_DELIVER, vid,
-                                     next(self._seq), (message, receivers)))
+                                     next(self._seq), (sent, receivers)))
         next_t = now + config.beacon_interval_ms
         if next_t < self.duration_ms:
             self._push(next_t, _K_EMIT, vid, None)
 
     def _handle_delivery(self, payload: object) -> None:
-        message, receivers = payload  # type: ignore[misc]
+        # the decoded beacon as sent: a SecuredBeacon if secured, else a Beacon
+        sent, receivers = payload  # type: ignore[misc]
         now = self.now
         crashed = self.crashed
         loss_p = self.loss_p
         rng_random = self.channel_rng.random
-        # One channel draw per live receiver, in receiver order.
-        silent = 0
-        losses = 0
-        if self.secured and not self.rx_through_stack:
-            # the bulk path: straight into each receiver's security layer
-            sb = message.parsed
-            pid = sb.signer_pseudonym_id
+        secured = self.secured
+        if secured:
+            pid = sent.signer_pseudonym_id
             first_heard = self._first_heard
             rx = self._rx
-            for r in receivers:
-                if crashed[r]:
-                    silent += 1
-                elif rng_random() < loss_p[r]:
-                    losses += 1
-                else:
-                    first_heard[r].setdefault(pid, now)
-                    rx[r](sb, now)
-        else:
-            for r in receivers:
-                if crashed[r]:
-                    silent += 1
-                elif rng_random() < loss_p[r]:
-                    losses += 1
-                else:
-                    self._receive(r, message, now)
+        app = self._app
+        # One channel draw per live receiver, in receiver order. A secured
+        # receiver's security layer delivers to the application only once the
+        # beacon verifies; an unsecured receiver delivers at once.
+        silent = 0
+        losses = 0
+        for r in receivers:
+            if crashed[r]:
+                silent += 1
+            elif rng_random() < loss_p[r]:
+                losses += 1
+            elif secured:
+                first_heard[r].setdefault(pid, now)
+                rx[r](sent, now)
+            elif app is not None:
+                app(r, sent, now)
+        heard = len(receivers) - silent - losses
         metrics = self.metrics
         metrics.channel_losses += losses
-        metrics.receptions += len(receivers) - silent - losses
-
-    def _receive(self, r: int, message: Message, now: int) -> None:
-        """Hand one heard message to receiver ``r`` off the bulk path.
-
-        Secured receivers take it up their hook stack, whose handler feeds
-        the security layer. Unsecured receivers deliver it straight to the
-        application, since a stack without handlers is transparent by the
-        framework invariant, unless the run routes receptions through the
-        stack to check exactly that.
-        """
-        node = self.nodes[r]
-        if self.secured:
-            node.first_heard.setdefault(message.parsed.signer_pseudonym_id, now)
-            node.stack.traverse(message, Direction.UP)
-            return
-        if self.rx_through_stack:
-            outcome = node.stack.traverse(message, Direction.UP)
-            if not outcome.delivered:
-                return
-            message = outcome.message
-        self.metrics.delivered += 1
-        if self.config.braking_enabled:
-            self._app_on_beacon(r, message.parsed, now)
+        metrics.receptions += heard
+        if not secured:
+            metrics.delivered += heard
 
     def _handle_verify(self, now: int) -> None:
         if now + _VERIFY_TICK_MS <= self.duration_ms:

@@ -207,7 +207,7 @@ def test_attachment_matches_trace_reference(fast_suite, ca):
                 sender.on_pseudonym_change(None)
             elif kind == "neighbor":
                 fake_pid += 1
-                sender.neighbors.observe(struct.pack(">I", fake_pid), now, 0.0)
+                sender.neighbors.observe(struct.pack(">I", fake_pid), now)
             else:
                 sb = sender.make_beacon(_beacon(now), now)
                 got.append(sb.certificate is not None)
@@ -240,10 +240,10 @@ def test_beta_repetition_after_change(fast_suite, ca):
 def test_neighbor_table_marks_and_expiry():
     table = NeighborTable(expiry_ms=3000)
     assert not table.new_since_mark
-    table.observe(b"\x00\x00\x00\x01", 0, 0.0)
+    table.observe(b"\x00\x00\x00\x01", 0)
     assert table.new_since_mark
     table.mark_beacon_sent()
-    table.observe(b"\x00\x00\x00\x01", 100, 0.0)  # refresh, not new
+    table.observe(b"\x00\x00\x00\x01", 100)  # refresh, not new
     assert not table.new_since_mark
 
     assert table.sweep(3100) == []  # silent for exactly expiry_ms: kept
@@ -256,8 +256,8 @@ def test_neighbor_table_marks_and_expiry():
 
 def test_neighbor_last_seen_never_regresses():
     table = NeighborTable()
-    entry = table.observe(b"\x00\x00\x00\x02", 500, 0.0)
-    table.observe(b"\x00\x00\x00\x02", 400, 0.0)
+    entry = table.observe(b"\x00\x00\x00\x02", 500)
+    table.observe(b"\x00\x00\x00\x02", 400)
     assert entry.last_seen == 500
 
 
@@ -437,6 +437,30 @@ def test_bad_certificate_is_discarded(sender, receiver, fast_suite):
     assert result.reason == "bad_certificate"
     assert receiver.units_used == 1  # failed cert check never spends the second unit
     assert receiver.delivered_count == 0
+
+
+def test_claimed_pseudonym_id_must_match_certificate(sender, receiver, fast_suite, ca):
+    # The signature does not cover the pseudonym id, so an attacker holding a
+    # valid certificate of its own could otherwise speak as the victim.
+    attacker = _vehicle(fast_suite, ca, seed=400)
+    victim_pid = sender.identity.active.pseudonym_id
+    own = attacker.make_beacon(_beacon(0), 0)
+    hijack = SecuredBeacon(own.beacon, victim_pid, own.blob, own.certificate,
+                           beacon_bytes=own.beacon_bytes)
+    result = receiver.on_receive(hijack, 0)
+    assert result.status is ReceiveStatus.DISCARDED
+    assert result.reason == "bad_certificate"
+    assert receiver.units_used == 1
+    assert receiver.delivered_count == 0
+
+    genuine = sender.make_beacon(_beacon(100), 100)
+    assert receiver.on_receive(genuine, 100).status is ReceiveStatus.DELIVERED
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    later = sender.make_beacon(_beacon(200), 200)
+    assert later.certificate is None
+    assert receiver.on_receive(later, 200).status is ReceiveStatus.DELIVERED
+    assert [(sb.signer_pseudonym_id, now) for sb, now in receiver.delivered_log] == [
+        (victim_pid, 100), (victim_pid, 200)]
 
 
 def test_budget_exhaustion_queues_then_verifies(sender, fast_suite, ca):

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import struct
+import sys
+import threading
+import time
 from random import Random
 
 import pytest
@@ -183,6 +186,64 @@ def test_signed_blob_parser_rejects_bad_padding(hsm):
         SignedBlob.from_bytes(bytes(wire))
     with pytest.raises(ValueError):
         SignedBlob.from_bytes(bytes(wire[:-1]))
+
+
+class _YieldingClock(VirtualClock):
+    """A virtual clock that lets other threads run on every read."""
+
+    __slots__ = ()
+
+    @property
+    def now(self) -> int:
+        time.sleep(0)
+        return super().now
+
+
+def test_concurrent_callers_see_one_linear_history(fast_suite):
+    clock = _YieldingClock(0)
+    hsm = Hsm(clock=clock, suite=fast_suite, rng=Random(23))
+    threads, rounds = 4, 50
+    seen = [[] for _ in range(threads)]
+    start = threading.Barrier(threads + 1)
+
+    def worker(out):
+        start.wait(timeout=30)
+        for k in range(rounds):
+            key_id, public = hsm.generate_key(KeyRole.SHORT_TERM)
+            message = f"{key_id}:{k}".encode()
+            out.append((key_id, public, message, hsm.sign_and_timestamp(key_id, message),
+                        hsm.read_clock()))
+
+    workers = [threading.Thread(target=worker, args=(out,)) for out in seen]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for w in workers:
+            w.start()
+        start.wait(timeout=30)
+        for t in range(1, 2000):
+            clock.set(t)
+            time.sleep(0)
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in workers)
+
+    key_ids = sorted(key_id for out in seen for key_id, *_ in out)
+    assert key_ids == [f"key-{i:06d}" for i in range(threads * rounds)]
+    # slots were created one at a time, in id order and at nondecreasing times
+    slots = hsm.slots()
+    assert [slot.key_id for slot in slots] == key_ids
+    created = [slot.created_at for slot in slots]
+    assert created == sorted(created)
+    for out in seen:
+        for _, public, message, blob, _ in out:
+            assert verify_signed_blob(public, message, blob, fast_suite)
+        reads = [read for *_, read in out]
+        assert reads == sorted(reads)
+        stamps = [blob.timestamp for _, _, _, blob, _ in out]
+        assert stamps == sorted(stamps)
 
 
 # -- ECIES ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
+from v2xsec.sim.engine import run_scenario, stream_rng
 from v2xsec.sim.metrics import (
     CSV_COLUMNS,
     audit_certificate_fraction,
@@ -130,22 +130,6 @@ def test_stream_rng_streams_are_stable_and_distinct():
     assert stream_rng(7, "channel").random() == stream_rng(7, "channel").random()
     assert stream_rng(7, "channel").random() != stream_rng(7, "vehicle:0").random()
     assert stream_rng(7, "channel").random() != stream_rng(8, "channel").random()
-
-
-def test_hook_stack_path_is_equivalent():
-    """Receptions routed through the full interception stack must produce
-    the same metrics as the direct path the bulk simulations use."""
-    config = _config(seed=21, min_lifetime_s=3.0, max_lifetime_s=6.0)
-    direct = run_scenario(config)
-    stacked = HighwaySimulation(config, rx_through_stack=True).run()
-    assert _fingerprint(direct) == _fingerprint(stacked)
-
-
-def test_hook_stack_path_is_equivalent_unsecured():
-    config = _config(security_mode="unsecured", seed=22)
-    direct = run_scenario(config)
-    stacked = HighwaySimulation(config, rx_through_stack=True).run()
-    assert _fingerprint(direct) == _fingerprint(stacked)
 
 
 # -- mode basics ---------------------------------------------------------------------
