@@ -248,14 +248,17 @@ class SecuredBeacon:
 
 
 class NeighborEntry:
-    __slots__ = ("pseudonym_id", "first_seen", "last_seen", "verified", "public_key")
+    __slots__ = ("pseudonym_id", "first_seen", "last_seen", "verified", "public_key",
+                 "validity_end")
 
     def __init__(self, pseudonym_id: bytes, now: int) -> None:
         self.pseudonym_id = pseudonym_id
         self.first_seen = now
         self.last_seen = now
         self.verified = False
+        # the verified certificate's key and the end of its validity window
         self.public_key: bytes | None = None
+        self.validity_end = 0
 
 
 class NeighborTable:
@@ -368,6 +371,8 @@ DISCARD_STALE = ReceiveDisposition(ReceiveStatus.DISCARDED, "stale")
 DISCARD_OPPOSITE = ReceiveDisposition(ReceiveStatus.DISCARDED, "opposite_flow")
 DISCARD_BAD_SIGNATURE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_signature")
 DISCARD_BAD_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_certificate")
+DISCARD_EXPIRED_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED,
+                                                 "expired_certificate")
 
 
 def discard_malformed(detail: str) -> ReceiveDisposition:
@@ -493,6 +498,8 @@ class BeaconSecurity:
         pid = sb.signer_pseudonym_id
         entry = self.neighbors.observe(pid, now)
         if entry.verified:
+            if now > entry.validity_end:
+                return self._discard(DISCARD_EXPIRED_CERTIFICATE)
             job = (sb, entry.public_key)
         elif sb.certificate is not None:
             job = (sb, None)
@@ -598,6 +605,8 @@ class BeaconSecurity:
         The certificate must also be the one the claimed pseudonym id names,
         since the signature does not cover the id. A bad certificate costs one
         unit (the signature is never tried); every other outcome costs two.
+        Beacons held for this sender's certificate are then queued behind it,
+        except those that went stale while they waited.
         """
         cert = sb.certificate
         assert cert is not None
@@ -612,11 +621,17 @@ class BeaconSecurity:
         if entry is not None:
             entry.verified = True
             entry.public_key = public_key
+            entry.validity_end = cert.validity_end
         self.delivered_count += 1
         if self.deliver is not None:
             self.deliver(sb, now)
         bucket = self._pending.pop(pid, None)
         if bucket:
+            window = self.freshness_window_ms
             for held in bucket:
-                self._enqueue((held, public_key))
+                delta = now - held.beacon.generation_time
+                if delta > window or -delta > window:
+                    self._discard(DISCARD_STALE)
+                else:
+                    self._enqueue((held, public_key))
         return DELIVERED

@@ -1,12 +1,11 @@
 """Discrete-event highway simulation of the secured beaconing stack.
 
-A single carriageway of platooning vehicles beacons at a fixed interval under
-one of three modes: no vehicular communication at all, unsecured beacons, or
-the full secured stack (HSM, pseudonyms, certificate omission, budgeted
-verification). Each node's emissions go down its hook stack, which frames them
-and applies link-address changes on a pseudonym change; each heard beacon goes
-straight into the receiver's ``BeaconSecurity`` (secured) or the application
-(unsecured).
+A single-lane platoon beacons at a fixed interval under one of three modes:
+no vehicular communication at all, unsecured beacons, or the full secured
+stack (HSM, pseudonyms, certificate omission, budgeted verification). Each
+emission is encoded once, and the channel is charged for the encoded bytes
+plus a 6-byte source link address. Each heard beacon goes straight into the
+receiver's ``BeaconSecurity`` (secured) or the application (unsecured).
 
 Determinism: one virtual clock drives every component; all randomness comes
 from named streams derived from the scenario seed; the event queue orders
@@ -21,12 +20,12 @@ segment continues. Crash detection therefore does not depend on the tick
 size.
 
 The no-communication mode uses a sight model: drivers only react to a
-visible hazard ahead in their lane (the scripted emergency braker, a crashed
-vehicle, or a fully stopped vehicle) within the sight threshold. Ordinary
-braking of the car in front is not independently visible; that information
-arrives, if at all, over the beacon channel. All modes keep the sight
-fallback, and any vehicle that starts emergency braking sets a sticky flag
-byte in its own beacons so warnings relay down the platoon.
+visible hazard ahead (the scripted emergency braker, a crashed vehicle, or a
+fully stopped vehicle) within the sight threshold. Ordinary braking of the
+car in front is not independently visible; that information arrives, if at
+all, over the beacon channel. All modes keep the sight fallback, and any
+vehicle that starts emergency braking sets a sticky flag byte in its own
+beacons so warnings relay down the platoon.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import struct
 from collections import deque
 from heapq import heappop, heappush
 from random import Random
@@ -47,13 +47,16 @@ from ..beaconing import (
     OmissionStrategy,
     OmissionVariant,
     PLAIN_BEACON_TYPE,
-    SECURED_BEACON_TYPE,
     SecuredBeacon,
 )
 from ..clocks import VirtualClock
-from ..hooks import HookStack, Message, RawEthernetAdapter, SetLinkAddress
 from ..hsm import Hsm
-from ..identity import CertificateAuthority, IdentityManager, PseudonymChangePolicy
+from ..identity import (
+    LINK_ADDR_LEN,
+    CertificateAuthority,
+    IdentityManager,
+    PseudonymChangePolicy,
+)
 from ..suites import get_suite
 from .metrics import CrashEvent, EmissionRecord, RunMetrics
 from .scenario import ScenarioConfig
@@ -72,6 +75,7 @@ _VERIFY_TICK_MS = 100
 # Beacon payloads at their fixed wire width, so no emission pads them again.
 _PLAIN_PAYLOAD = bytes(8)
 _BRAKE_PAYLOAD = bytes([EMERGENCY_BRAKE_FLAG]).ljust(8, b"\x00")
+_PLAIN_TAG = struct.pack(">H", PLAIN_BEACON_TYPE)
 
 
 def stream_rng(seed: int, stream: str) -> Random:
@@ -86,12 +90,11 @@ def _strategy_from_config(config: ScenarioConfig) -> OmissionStrategy:
 
 
 class _Node:
-    """Per-vehicle protocol state for the communicating modes."""
+    """Per-vehicle protocol state for the secured mode."""
 
-    __slots__ = ("stack", "bsec", "first_heard", "trusted")
+    __slots__ = ("bsec", "first_heard", "trusted")
 
     def __init__(self) -> None:
-        self.stack: HookStack | None = None
         self.bsec: BeaconSecurity | None = None
         self.first_heard: dict[bytes, int] = {}
         self.trusted: set[bytes] = set()
@@ -126,11 +129,8 @@ class HighwaySimulation:
 
         n = config.vehicle_count
         self.n = n
-        lane_count = config.lane_count
-        self.lane = np.arange(n) % lane_count
-        pos_in_lane = np.arange(n) // lane_count
-        self.x = -pos_in_lane.astype(np.float64) * config.initial_headway_m
-        self.y = self.lane.astype(np.float64) * config.lane_spacing_m
+        # vehicle 0 leads; each vehicle follows the one with the next lower id
+        self.x = -np.arange(n, dtype=np.float64) * config.initial_headway_m
         self.v = np.full(n, config.initial_speed_mps, dtype=np.float64)
         self.a = np.zeros(n, dtype=np.float64)
         self.kin_time = 0.0  # float ms so crash instants commit exactly
@@ -141,19 +141,10 @@ class HighwaySimulation:
         self.warned = [False] * n
         self.braking = [False] * n
 
-        # lane adjacency: ordered front to back per lane
-        self.lane_order: list[list[int]] = []
-        for lane_id in range(lane_count):
-            vids = [i for i in range(n) if self.lane[i] == lane_id]
-            vids.sort(key=lambda i: -self.x[i])
-            self.lane_order.append(vids)
-        self.pairs: list[tuple[int, int]] = []  # (follower, leader)
-        for vids in self.lane_order:
-            for k in range(1, len(vids)):
-                self.pairs.append((vids[k], vids[k - 1]))
-        self.pair_done = np.zeros(len(self.pairs), dtype=bool)
-        self._followers = np.array([f for f, _ in self.pairs], dtype=np.intp)
-        self._leaders = np.array([l for _, l in self.pairs], dtype=np.intp)
+        self.pairs = [(k, k - 1) for k in range(1, n)]  # (follower, leader)
+        self.pair_done = np.zeros(n - 1, dtype=bool)
+        self._followers = np.arange(1, n, dtype=np.intp)
+        self._leaders = np.arange(n - 1, dtype=np.intp)
 
         # channel state (hot-loop tables are plain lists: scalar indexing of
         # numpy arrays is an order of magnitude slower per lookup)
@@ -175,23 +166,12 @@ class HighwaySimulation:
 
         self.nodes: list[_Node] = []
         self._security_layers: list[BeaconSecurity] = []
-        if config.security_mode == "secured":
+        if self.secured:
             self._build_secured_nodes()
-        elif config.security_mode == "unsecured":
-            self._build_unsecured_nodes()
 
         self._schedule_initial_events()
 
     # -- construction ----------------------------------------------------------
-
-    def _link_address(self, vid: int) -> bytes:
-        return bytes([0x02, 0x00, 0x00, 0x00, (vid >> 8) & 0xFF, vid & 0xFF])
-
-    def _build_unsecured_nodes(self) -> None:
-        for vid in range(self.n):
-            node = _Node()
-            node.stack = HookStack(RawEthernetAdapter(self._link_address(vid)))
-            self.nodes.append(node)
 
     def _build_secured_nodes(self) -> None:
         config = self.config
@@ -222,16 +202,11 @@ class HighwaySimulation:
                 queue_capacity=config.queue_capacity,
                 pending_capacity=config.pending_capacity,
                 freshness_window_ms=config.freshness_window_ms,
-                opposite_flow_filter=config.opposite_flow_filter,
                 suite=self.suite,
             )
-            stack = HookStack(RawEthernetAdapter(self._link_address(vid)))
-            node.stack = stack
             node.bsec = bsec
             self.nodes.append(node)
-            event = identity.activate_next(0, self.change_policy)
-            bsec.on_pseudonym_change(event)
-            stack.command(SetLinkAddress(event.new_link_address))
+            bsec.on_pseudonym_change(identity.activate_next(0, self.change_policy))
         self._security_layers = [n.bsec for n in self.nodes]
         self._rx = [bsec.on_receive for bsec in self._security_layers]
         self._first_heard = [n.first_heard for n in self.nodes]
@@ -334,11 +309,9 @@ class HighwaySimulation:
         if self.crashed[vid]:
             return
         config = self.config
-        node = self.nodes[vid]
-        stack = node.stack
         beacon = Beacon(
             x=float(self.x[vid]),
-            y=float(self.y[vid]),
+            y=0.0,
             velocity=float(self.v[vid]),
             heading=0.0,
             generation_time=now,
@@ -347,20 +320,17 @@ class HighwaySimulation:
         if self.secured:
             # The HSMs read this clock only to timestamp signatures.
             self.clock.set(now)
-            bsec = node.bsec
-            event = bsec.change_if_due(now, self.change_policy)
-            if event is not None:
-                stack.command(SetLinkAddress(event.new_link_address))
+            bsec = self._security_layers[vid]
+            bsec.change_if_due(now, self.change_policy)
             sent = bsec.make_beacon(beacon, now)
-            message = Message(SECURED_BEACON_TYPE, sent.to_bytes())
+            wire = sent.to_wire()
             with_cert = sent.certificate is not None
         else:
             sent = beacon
-            message = Message(PLAIN_BEACON_TYPE, beacon.pack())
+            wire = _PLAIN_TAG + beacon.pack()
             with_cert = False
-        frame = stack.transmit(message)
-        assert frame is not None
-        frame_len = len(frame)
+        # the frame is the source link address followed by the encoded beacon
+        frame_len = LINK_ADDR_LEN + len(wire)
         self.total_tx_bytes += frame_len
         self.tx_bytes_window[vid] += frame_len
         metrics = self.metrics
@@ -425,16 +395,12 @@ class HighwaySimulation:
 
     def _handle_brake_trigger(self, now: int) -> None:
         self._advance_to(now)
-        for vids in self.lane_order:
-            if not vids:
-                continue
-            front = vids[0]
-            if not self.crashed[front]:
-                self.a[front] = -self.config.lead_decel_mps2
-                self.emergency[front] = True
-                self.origin[front] = True
-                self.warned[front] = True
-                self.braking[front] = True
+        if not self.crashed[0]:
+            self.a[0] = -self.config.lead_decel_mps2
+            self.emergency[0] = True
+            self.origin[0] = True
+            self.warned[0] = True
+            self.braking[0] = True
 
     def _handle_brake_start(self, vid: int, now: int) -> None:
         self._advance_to(now)
@@ -450,9 +416,6 @@ class HighwaySimulation:
         """React to an emergency-brake flag ahead (braking scenarios only)."""
         if not beacon.payload or not (beacon.payload[0] & EMERGENCY_BRAKE_FLAG):
             return
-        # react to emergency braking ahead in the own lane
-        if abs(beacon.y - self.y[vid]) > self.config.lane_spacing_m / 2:
-            return
         if beacon.x <= self.x[vid]:
             return
         self._warn(vid, now)
@@ -467,26 +430,23 @@ class HighwaySimulation:
         sight = self.config.sight_threshold_m
         x = self.x
         v = self.v
-        for vids in self.lane_order:
-            hazard_x: float | None = None
-            for vid in vids:
-                if hazard_x is not None and not self.warned[vid] and not self.crashed[vid]:
-                    if hazard_x - x[vid] <= sight:
-                        self._warn(vid, now)
-                if (
-                    self.crashed[vid]
-                    or (self.emergency[vid] and (self.origin[vid] or v[vid] <= 0.01))
-                ):
-                    hazard_x = x[vid]
+        hazard_x: float | None = None
+        for vid in range(self.n):  # front to back
+            if hazard_x is not None and not self.warned[vid] and not self.crashed[vid]:
+                if hazard_x - x[vid] <= sight:
+                    self._warn(vid, now)
+            if (
+                self.crashed[vid]
+                or (self.emergency[vid] and (self.origin[vid] or v[vid] <= 0.01))
+            ):
+                hazard_x = x[vid]
 
     # -- channel and radio ------------------------------------------------------------
 
     def _rebuild_radio(self) -> None:
         x = self.x
-        y = self.y
         dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        within = (dx * dx + dy * dy) <= self.config.tx_range_m**2
+        within = dx * dx <= self.config.tx_range_m**2
         alive = ~np.asarray(self.crashed, dtype=bool)
         within &= alive[:, None]
         within &= alive[None, :]
@@ -508,8 +468,6 @@ class HighwaySimulation:
         self.tx_bytes_window = [0.0] * self.n
 
     def _sample_queues(self) -> None:
-        if self.config.security_mode != "secured":
-            return
         depths = [bsec.queue_depth for bsec in self._security_layers]
         if depths:
             self.metrics.queue_depth_by_second.append(
@@ -574,9 +532,9 @@ class HighwaySimulation:
     def _closing_pairs(self, dt: float) -> list[int]:
         """Indices of open pairs that may touch within ``dt`` seconds.
 
-        This is ``_pair_crossing``'s contact test and cheap reject over all
-        pairs at once, with the same float operations, so it keeps exactly
-        the pairs that the scalar function goes on to solve.
+        A pair is kept if it is already in contact, or if closing at the
+        worst relative speed the segment allows would still reach the
+        leader; ``_pair_crossing`` solves only the pairs kept here.
         """
         f = self._followers
         l = self._leaders
@@ -598,10 +556,7 @@ class HighwaySimulation:
         metrics.offered_load_Bps = self.total_tx_bytes / self.config.duration_s
         metrics.final_positions = [float(val) for val in self.x]
         metrics.final_speeds = [float(val) for val in self.v]
-        for node in self.nodes:
-            bsec = node.bsec
-            if bsec is None:
-                continue
+        for bsec in self._security_layers:
             metrics.delivered += bsec.delivered_count
             metrics.evicted_jobs += bsec.evicted_jobs
             metrics.pending_dropped += bsec.pending_dropped
@@ -686,11 +641,6 @@ def _pair_crossing(xf: float, vf: float, af: float, xl: float, vl: float,
         # Resolve it now (tau = 0 is safe: the pair is marked done, so it is
         # never counted twice).
         return 0.0
-    # cheap reject: even closing at the worst observed relative speed misses
-    vf_max = max(vf, vf + af * dt if af > 0 else vf)
-    vl_min = min(vl, max(vl + al * dt, 0.0))
-    if gap_now + (vl_min - vf_max) * dt > 0.0:
-        return None
     breakpoints = {0.0, dt}
     ts_f = _stop_time(vf, af)
     if 0.0 < ts_f < dt:

@@ -38,8 +38,6 @@ class ScenarioConfig:
     # [scenario]
     name: str = "unnamed"
     vehicle_count: int = 10
-    lane_count: int = 1
-    lane_spacing_m: float = 3.5
     initial_headway_m: float = 40.0
     initial_speed_mps: float = 30.0
     beacon_interval_ms: int = 100
@@ -62,7 +60,6 @@ class ScenarioConfig:
     beta: int = 3
     freshness_window_ms: int = 1000
     neighbor_expiry_ms: int = 3000
-    opposite_flow_filter: bool = False
     # [verification]
     budget_per_second: int = 50
     queue_capacity: int = 64
@@ -97,7 +94,6 @@ class ScenarioConfig:
                 raise ScenarioError(message)
 
         need(self.vehicle_count >= 1, "vehicle_count must be >= 1")
-        need(self.lane_count >= 1, "lane_count must be >= 1")
         need(self.initial_headway_m > 0, "initial_headway_m must be positive")
         need(self.initial_speed_mps >= 0, "initial_speed_mps must be nonnegative")
         need(self.beacon_interval_ms >= 10, "beacon_interval_ms must be >= 10")
@@ -139,8 +135,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     "scenario": {
         "name": ("name", str),
         "vehicle_count": ("vehicle_count", int),
-        "lane_count": ("lane_count", int),
-        "lane_spacing_m": ("lane_spacing_m", float),
         "initial_headway_m": ("initial_headway_m", float),
         "initial_speed_mps": ("initial_speed_mps", float),
         "beacon_interval_ms": ("beacon_interval_ms", int),
@@ -165,7 +159,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "beta": ("beta", int),
         "freshness_window_ms": ("freshness_window_ms", int),
         "neighbor_expiry_ms": ("neighbor_expiry_ms", int),
-        "opposite_flow_filter": ("opposite_flow_filter", _parse_bool),
     },
     "verification": {
         "budget_per_second": ("budget_per_second", int),

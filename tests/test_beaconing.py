@@ -45,12 +45,13 @@ def _beacon(now=0, heading=0.0, payload=b""):
                   generation_time=now, payload=payload)
 
 
-def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, **kwargs):
+def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, validity_ms=10**10,
+             **kwargs):
     clock = VirtualClock(0)
     hsm = Hsm(clock, suite, Random(seed))
     hsm.install_factory_root(ca.public_key)
     manager = IdentityManager(hsm, rng=Random(seed + 1))
-    manager.provision(ca, pool, validity_ms=10**10)
+    manager.provision(ca, pool, validity_ms=validity_ms)
     manager.activate_next(0)
     if strategy is None:
         strategy = OmissionStrategy.always()
@@ -365,6 +366,41 @@ def test_certless_first_contact_waits_then_releases(sender, receiver):
     # the held beacons verify right behind the certificate beacon
     assert receiver.pending_count == 0
     assert [sb for sb, _ in receiver.delivered_log] == [with_cert] + early
+
+
+def test_held_beacons_go_stale_while_awaiting_certificate(sender, receiver):
+    """A held beacon gets the freshness test again when its sender's
+    certificate finally verifies; one that aged out is discarded as stale
+    without spending a unit."""
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    held = sender.make_beacon(_beacon(0), 0)
+    assert receiver.on_receive(held, 0).reason == "awaiting_certificate"
+
+    sender.strategy = OmissionStrategy.always()
+    with_cert = sender.make_beacon(_beacon(2500), 2500)
+    assert receiver.on_receive(with_cert, 2500).status is ReceiveStatus.DELIVERED
+    assert [sb for sb, _ in receiver.delivered_log] == [with_cert]
+    assert receiver.discards == {"stale": 1}
+    assert receiver.queue_depth == 0 and receiver.pending_count == 0
+    assert receiver.units_used == 2  # the certificate beacon's first contact only
+
+
+def test_cached_key_ends_with_certificate_validity(fast_suite, ca, receiver):
+    """A verified neighbour's cached key is trusted only while its
+    certificate is valid; afterwards its beacons are discarded unverified."""
+    sender = _vehicle(fast_suite, ca, seed=101, validity_ms=1000)
+    assert receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0).status \
+        is ReceiveStatus.DELIVERED
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    last_valid = sender.make_beacon(_beacon(1000), 1000)
+    assert receiver.on_receive(last_valid, 1000).status is ReceiveStatus.DELIVERED
+    expired = sender.make_beacon(_beacon(5001), 5001)
+    assert expired.certificate is None
+    result = receiver.on_receive(expired, 5001)
+    assert result.status is ReceiveStatus.DISCARDED
+    assert result.reason == "expired_certificate"
+    assert receiver.delivered_count == 2
+    assert receiver.units_used == 3  # 2 for first contact, 1 at t=1000, none after
 
 
 def test_pending_bucket_is_bounded(sender, fast_suite, ca):

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from v2xsec.sim.engine import run_scenario, stream_rng
+from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
 from v2xsec.sim.metrics import (
     CSV_COLUMNS,
     audit_certificate_fraction,
@@ -168,6 +168,33 @@ def test_loss_accounting_balances():
     metrics = run_scenario(config)
     assert metrics.channel_losses > 0
     assert metrics.receptions + metrics.channel_losses == metrics.beacons_sent * 3
+
+
+def _repository_scenario(name, **overrides):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    config = load_scenario(os.path.join(here, "scenarios", name))
+    for key, value in overrides.items():
+        config = apply_override(config, key, value)
+    return config
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("smoke.ini", {}),
+    ("saturation.ini", {"duration_s": "5"}),
+    ("overhead.ini", {"min_lifetime_s": "3", "max_lifetime_s": "6"}),
+])
+def test_reception_funnel_balances(name, overrides):
+    """Every secured reception ends delivered, discarded with a reason,
+    evicted from the queue, dropped from a pending bucket, or still queued
+    or pending when the run ends."""
+    sim = HighwaySimulation(_repository_scenario(name, **overrides))
+    metrics = sim.run()
+    layers = [node.bsec for node in sim.nodes]
+    accounted = (metrics.delivered + sum(metrics.discards.values()) + metrics.evicted_jobs
+                 + metrics.pending_dropped + sum(b.queue_depth for b in layers)
+                 + sum(b.pending_count for b in layers))
+    assert metrics.receptions > 0
+    assert accounted == metrics.receptions
 
 
 def test_load_feedback_increases_loss():
@@ -346,6 +373,8 @@ def test_load_scenario(tmp_path):
     ("[scenario]\nduration_s = 5\nwarmup_s = 5\n", "warmup_s"),
     ("[scenario]\nsecurity_mode = armored\n", "security_mode"),
     ("[scenario]\nmobility_tick_ms = 300\n", "mobility_tick_ms"),
+    ("[scenario]\nlane_count = 2\n", "unknown key"),
+    ("[beaconing]\nopposite_flow_filter = true\n", "unknown key"),
 ])
 def test_load_scenario_rejects(tmp_path, text, needle):
     path = tmp_path / "bad.ini"
