@@ -12,7 +12,11 @@ of verified certificates, and push all cryptographic checks through a
 budgeted FIFO verification queue (a few dozen verifications per second is all
 a realistic onboard unit can afford). Beacons reach the application only
 after their signature, and on first contact the sender's certificate, have
-verified: unverified traffic stays pending and is never delivered.
+verified: unverified traffic stays pending and is never delivered. Freshness
+and certificate validity are checked on arrival and again when a job reaches
+the queue head, so nothing goes stale waiting for its turn. The neighbor
+table is the only per-neighbor state; each entry's time to trust runs from
+its first beacon until its certificate verifies.
 
 Wire format of a secured beacon (fixed sizes): 2-byte type tag, 4-byte
 pseudonym id, 40-byte beacon body, 72-byte timestamped signature, 1-byte
@@ -21,7 +25,6 @@ certificate-present flag, optional 142-byte certificate.
 
 from __future__ import annotations
 
-import math
 import struct
 from collections import deque
 from dataclasses import dataclass
@@ -342,11 +345,12 @@ class VerificationBudget:
         return window[0][0] + 1000 if window else 0
 
 
-# A verification job is a ``(beacon, public_key)`` pair. A known key means one
-# signature check (1 unit); ``None`` means first contact, where the attached
+# A verification job is a ``(beacon, public_key, validity_end)`` triple. A
+# known key means one signature check (1 unit), valid until the end of its
+# certificate's validity; ``None`` means first contact, where the attached
 # certificate is checked first and its subject key then verifies the
 # signature (2 units).
-_Job = tuple[SecuredBeacon, bytes | None]
+_Job = tuple[SecuredBeacon, bytes | None, int]
 
 
 # -- receive dispositions ----------------------------------------------------------
@@ -368,7 +372,6 @@ DELIVERED = ReceiveDisposition(ReceiveStatus.DELIVERED)
 PENDING_QUEUED = ReceiveDisposition(ReceiveStatus.PENDING, "queued")
 PENDING_AWAITING_CERT = ReceiveDisposition(ReceiveStatus.PENDING, "awaiting_certificate")
 DISCARD_STALE = ReceiveDisposition(ReceiveStatus.DISCARDED, "stale")
-DISCARD_OPPOSITE = ReceiveDisposition(ReceiveStatus.DISCARDED, "opposite_flow")
 DISCARD_BAD_SIGNATURE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_signature")
 DISCARD_BAD_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_certificate")
 DISCARD_EXPIRED_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED,
@@ -406,7 +409,6 @@ class BeaconSecurity:
         queue_capacity: int = 64,
         pending_capacity: int = 64,
         freshness_window_ms: int = 1000,
-        opposite_flow_filter: bool = False,
         suite: SignatureSuite | None = None,
     ) -> None:
         if queue_capacity < 1 or pending_capacity < 1:
@@ -421,9 +423,7 @@ class BeaconSecurity:
         self.queue_capacity = queue_capacity
         self.pending_capacity = pending_capacity
         self.freshness_window_ms = freshness_window_ms
-        self.opposite_flow_filter = opposite_flow_filter
         self.suite = suite if suite is not None else P224Suite()
-        self.own_heading = 0.0
         self._queue: deque[_Job] = deque(maxlen=queue_capacity)
         # Before this time the budget stays spent and no queued job can run.
         self._idle_until = 0
@@ -438,6 +438,8 @@ class BeaconSecurity:
         self.pending_dropped = 0
         self.discards: dict[str, int] = {}
         self.units_by_second: dict[int, int] = {}
+        # ms from a neighbor entry's first beacon until its certificate verified
+        self.time_to_trust_ms: list[int] = []
 
     # -- sending ------------------------------------------------------------
 
@@ -467,7 +469,6 @@ class BeaconSecurity:
         if self._beta_remaining > 0:
             self._beta_remaining -= 1
         self.neighbors.mark_beacon_sent()
-        self.own_heading = beacon.heading
         cert = active.certificate if attach else None
         if attach:
             self.beacons_sent_with_cert += 1
@@ -491,18 +492,14 @@ class BeaconSecurity:
         window = self.freshness_window_ms
         if delta > window or -delta > window:
             return self._discard(DISCARD_STALE)
-        if self.opposite_flow_filter:
-            delta_h = beacon.heading - self.own_heading
-            if delta_h != 0.0 and math.cos(delta_h) < 0.0:
-                return self._discard(DISCARD_OPPOSITE)
         pid = sb.signer_pseudonym_id
         entry = self.neighbors.observe(pid, now)
         if entry.verified:
             if now > entry.validity_end:
                 return self._discard(DISCARD_EXPIRED_CERTIFICATE)
-            job = (sb, entry.public_key)
+            job = (sb, entry.public_key, entry.validity_end)
         elif sb.certificate is not None:
-            job = (sb, None)
+            job = (sb, None, 0)
         else:
             bucket = self._pending.get(pid)
             if bucket is None:
@@ -558,7 +555,10 @@ class BeaconSecurity:
         """Verify from the queue head while the budget lasts.
 
         Returns how ``job`` fared if it left the queue during this drain, and
-        ``PENDING_QUEUED`` otherwise. All units spent here carry the same
+        ``PENDING_QUEUED`` otherwise. A job that went stale while it waited,
+        or whose cached key's certificate expired, is discarded without a
+        curve operation but is still charged its units, so the queue drains
+        at the rate the budget sets. All units spent here carry the same
         timestamp, so they are charged to the budget in one entry at the end.
         A drain that uses up the budget records when it refills; no drain
         before then could verify anything, so callers skip it.
@@ -569,18 +569,25 @@ class BeaconSecurity:
         outcome = PENDING_QUEUED
         verify = self.suite.verify
         deliver = self.deliver
+        window = self.freshness_window_ms
         while left > 0 and queue:
             head = queue.popleft()
-            sb, public_key = head
-            if public_key is None:
-                if left < 2:
-                    queue.appendleft(head)
-                    break
+            sb, public_key, validity_end = head
+            if public_key is None and left < 2:
+                queue.appendleft(head)
+                break
+            delta = now - sb.beacon.generation_time
+            if delta > window or -delta > window:
+                result = self._discard(DISCARD_STALE)
+                left -= 2 if public_key is None else 1
+            elif public_key is None:
                 result = self._verify_first_contact(sb, now)
                 left -= 1 if result is DISCARD_BAD_CERTIFICATE else 2
             else:
                 left -= 1
-                if verify(public_key, sb.signed_payload, sb.blob.signature):
+                if now > validity_end:
+                    result = self._discard(DISCARD_EXPIRED_CERTIFICATE)
+                elif verify(public_key, sb.signed_payload, sb.blob.signature):
                     result = DELIVERED
                     self.delivered_count += 1
                     if deliver is not None:
@@ -605,6 +612,7 @@ class BeaconSecurity:
         The certificate must also be the one the claimed pseudonym id names,
         since the signature does not cover the id. A bad certificate costs one
         unit (the signature is never tried); every other outcome costs two.
+        The first success for a neighbor entry records its time to trust.
         Beacons held for this sender's certificate are then queued behind it,
         except those that went stale while they waited.
         """
@@ -619,6 +627,8 @@ class BeaconSecurity:
             return self._discard(DISCARD_BAD_SIGNATURE)
         entry = self.neighbors.get(pid)
         if entry is not None:
+            if not entry.verified:
+                self.time_to_trust_ms.append(now - entry.first_seen)
             entry.verified = True
             entry.public_key = public_key
             entry.validity_end = cert.validity_end
@@ -633,5 +643,5 @@ class BeaconSecurity:
                 if delta > window or -delta > window:
                     self._discard(DISCARD_STALE)
                 else:
-                    self._enqueue((held, public_key))
+                    self._enqueue((held, public_key, cert.validity_end))
         return DELIVERED

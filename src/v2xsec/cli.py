@@ -19,7 +19,7 @@ import sys
 from .selftest import run_gateway_suite, run_hsm_security_suite
 from .sim.engine import run_scenario
 from .sim.metrics import CSV_COLUMNS, RunMetrics, write_csv
-from .sim.scenario import ScenarioConfig, ScenarioError, apply_override, load_scenario
+from .sim.scenario import ScenarioError, apply_override, load_scenario
 from .sim.sweep import GridSpec, run_sweep
 from .suites import get_suite
 
@@ -61,10 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> ScenarioConfig:
-    return load_scenario(path)
-
-
 def _print_run(metrics: RunMetrics) -> None:
     print(f"scenario {metrics.scenario_id} seed={metrics.seed} "
           f"mode={metrics.security_mode} strategy={metrics.strategy}")
@@ -81,7 +77,7 @@ def _print_run(metrics: RunMetrics) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load(args.scenario)
+    config = load_scenario(args.scenario)
     for spec in args.overrides:
         key, sep, value = spec.partition("=")
         if not sep:
@@ -98,7 +94,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load(args.scenario)
+    config = load_scenario(args.scenario)
     grid = GridSpec.parse(args.grid)
     runs = run_sweep(config, grid, base_seed=args.seed, jobs=args.jobs)
     for metrics in runs:
@@ -110,7 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load(args.scenario)
+    config = load_scenario(args.scenario)
     print(f"{args.scenario}: ok "
           f"(name={config.name}, vehicles={config.vehicle_count}, "
           f"mode={config.security_mode}, duration={config.duration_s}s)")

@@ -257,7 +257,10 @@ def load_gateway_config(path: str) -> tuple[Firewall, BehaviorSpec]:
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # state names are case sensitive
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise GatewayError(f"{path}: {exc}") from exc
     if not read:
         raise GatewayError(f"cannot read gateway config {path!r}")
     firewall = Firewall()

@@ -237,14 +237,13 @@ ConvergenceAdapter = RawEthernetAdapter | TaggedFrameAdapter
 
 
 class _Chain:
-    """Handlers at one ILP, kept in dispatch order with a match cache."""
+    """Handlers at one ILP, kept in dispatch order."""
 
-    __slots__ = ("entries", "_seq", "_cache")
+    __slots__ = ("entries", "_seq")
 
     def __init__(self) -> None:
         self.entries: list[tuple[int, int, HandlerRegistration, Handler]] = []
         self._seq = 0
-        self._cache: dict[tuple[int, Direction], tuple[tuple[str, Handler], ...]] = {}
 
     def add(self, registration: HandlerRegistration, handler: Handler) -> None:
         if any(reg.handler_id == registration.handler_id for _, _, reg, _ in self.entries):
@@ -252,30 +251,15 @@ class _Chain:
         self.entries.append((registration.priority, self._seq, registration, handler))
         self.entries.sort(key=lambda e: (e[0], e[1]))
         self._seq += 1
-        self._cache.clear()
 
     def remove(self, handler_id: str) -> bool:
         before = len(self.entries)
         self.entries = [e for e in self.entries if e[2].handler_id != handler_id]
-        self._cache.clear()
         return len(self.entries) != before
 
-    def serves(self, direction: Direction) -> bool:
-        """Whether any handler here can match a message moving ``direction``."""
-        return any(reg.directions is None or direction in reg.directions
-                   for _, _, reg, _ in self.entries)
-
-    def matching(self, type_tag: int, direction: Direction) -> tuple[tuple[str, Handler], ...]:
-        key = (type_tag, direction)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = tuple(
-                (reg.handler_id, fn)
-                for _, _, reg, fn in self.entries
-                if reg.matches(type_tag, direction)
-            )
-            self._cache[key] = hit
-        return hit
+    def matching(self, type_tag: int, direction: Direction) -> list[tuple[str, Handler]]:
+        return [(reg.handler_id, fn) for _, _, reg, fn in self.entries
+                if reg.matches(type_tag, direction)]
 
 
 class HookStack:
@@ -284,27 +268,15 @@ class HookStack:
     def __init__(self, adapter: ConvergenceAdapter | None = None) -> None:
         self._chains: dict[IlpPosition, _Chain] = {p: _Chain() for p in IlpPosition}
         self.adapter = adapter
-        self._occupied_up: tuple[IlpPosition, ...] = ()
-        self._occupied_down: tuple[IlpPosition, ...] = ()
-
-    def _refresh_occupied(self) -> None:
-        # A point none of whose handlers takes a direction is the identity for
-        # that direction (transparency), so traversal skips it there.
-        chains = self._chains
-        self._occupied_up = tuple(p for p in UP_ORDER if chains[p].serves(Direction.UP))
-        self._occupied_down = tuple(p for p in DOWN_ORDER if chains[p].serves(Direction.DOWN))
 
     # registration
 
     def register_handler(self, position: IlpPosition,
                          registration: HandlerRegistration, handler: Handler) -> None:
         self._chains[position].add(registration, handler)
-        self._refresh_occupied()
 
     def unregister_handler(self, position: IlpPosition, handler_id: str) -> bool:
-        removed = self._chains[position].remove(handler_id)
-        self._refresh_occupied()
-        return removed
+        return self._chains[position].remove(handler_id)
 
     def handler_ids(self, position: IlpPosition) -> list[str]:
         return [reg.handler_id for _, _, reg, _ in self._chains[position].entries]
@@ -357,13 +329,9 @@ class HookStack:
 
     def traverse(self, message: Message, direction: Direction,
                  start: IlpPosition | None = None) -> DispatchOutcome:
-        """Send one message through every point in stack order.
-
-        Points without a handler for this direction are identity by the
-        transparency invariant, so only points that serve it are visited.
-        """
+        """Send one message through every point in stack order."""
         order: Iterable[IlpPosition]
-        order = self._occupied_up if direction is Direction.UP else self._occupied_down
+        order = UP_ORDER if direction is Direction.UP else DOWN_ORDER
         current = message
         if start is not None:
             order = [p for p in order if (p >= start if direction is Direction.UP else p <= start)]
@@ -386,12 +354,10 @@ class HookStack:
         """Full downward traversal, then frame encoding. None if dropped."""
         if self.adapter is None:
             raise HookError("no convergence adapter bound")
-        if self._occupied_down:
-            outcome = self.traverse(message, Direction.DOWN)
-            if not outcome.delivered:
-                return None
-            message = outcome.message
-        return self.adapter.encode_frame(message)
+        outcome = self.traverse(message, Direction.DOWN)
+        if not outcome.delivered:
+            return None
+        return self.adapter.encode_frame(outcome.message)
 
     def receive_frame(self, frame: bytes) -> DispatchOutcome:
         """Decode one frame and run it up the stack toward the application."""

@@ -5,7 +5,9 @@ no vehicular communication at all, unsecured beacons, or the full secured
 stack (HSM, pseudonyms, certificate omission, budgeted verification). Each
 emission is encoded once, and the channel is charged for the encoded bytes
 plus a 6-byte source link address. Each heard beacon goes straight into the
-receiver's ``BeaconSecurity`` (secured) or the application (unsecured).
+receiver's ``BeaconSecurity`` (secured) or the application (unsecured). A
+receiver's security layer owns all of its per-neighbor state, including time
+to trust, which the run collects from every layer when it ends.
 
 Determinism: one virtual clock drives every component; all randomness comes
 from named streams derived from the scenario seed; the event queue orders
@@ -90,14 +92,13 @@ def _strategy_from_config(config: ScenarioConfig) -> OmissionStrategy:
 
 
 class _Node:
-    """Per-vehicle protocol state for the secured mode."""
+    """One vehicle of a secured run: its security layer, which owns every
+    per-neighbor state (neighbor table, queue, trust and its timing)."""
 
-    __slots__ = ("bsec", "first_heard", "trusted")
+    __slots__ = ("bsec",)
 
-    def __init__(self) -> None:
-        self.bsec: BeaconSecurity | None = None
-        self.first_heard: dict[bytes, int] = {}
-        self.trusted: set[bytes] = set()
+    def __init__(self, bsec: BeaconSecurity) -> None:
+        self.bsec = bsec
 
 
 class HighwaySimulation:
@@ -185,7 +186,6 @@ class HighwaySimulation:
         )
         validity_ms = round(config.cert_validity_s * 1000)
         for vid in range(self.n):
-            node = _Node()
             rng = stream_rng(config.seed, f"vehicle:{vid}")
             hsm = Hsm(clock=self.clock, suite=self.suite, rng=rng)
             hsm.install_factory_root(ca.public_key)
@@ -196,7 +196,7 @@ class HighwaySimulation:
                 identity,
                 ca.public_key,
                 strategy,
-                deliver=self._make_deliver(vid, node),
+                deliver=self._make_deliver(vid),
                 neighbor_expiry_ms=config.neighbor_expiry_ms,
                 budget_per_second=config.budget_per_second,
                 queue_capacity=config.queue_capacity,
@@ -204,28 +204,19 @@ class HighwaySimulation:
                 freshness_window_ms=config.freshness_window_ms,
                 suite=self.suite,
             )
-            node.bsec = bsec
-            self.nodes.append(node)
+            self.nodes.append(_Node(bsec))
             bsec.on_pseudonym_change(identity.activate_next(0, self.change_policy))
         self._security_layers = [n.bsec for n in self.nodes]
         self._rx = [bsec.on_receive for bsec in self._security_layers]
-        self._first_heard = [n.first_heard for n in self.nodes]
 
-    def _make_deliver(self, vid: int, node: _Node):
-        trusted = node.trusted
-        first_heard = node.first_heard
-        time_to_trust = self.metrics.time_to_trust_ms
+    def _make_deliver(self, vid: int):
+        """Vehicle ``vid``'s application callback; None without one."""
         app = self._app
+        if app is None:
+            return None
 
         def deliver(sb: SecuredBeacon, now: int) -> None:
-            pid = sb.signer_pseudonym_id
-            if pid not in trusted:
-                trusted.add(pid)
-                heard = first_heard.get(pid)
-                if heard is not None:
-                    time_to_trust.append(now - heard)
-            if app is not None:
-                app(vid, sb.beacon, now)
+            app(vid, sb.beacon, now)
 
         return deliver
 
@@ -358,8 +349,6 @@ class HighwaySimulation:
         rng_random = self.channel_rng.random
         secured = self.secured
         if secured:
-            pid = sent.signer_pseudonym_id
-            first_heard = self._first_heard
             rx = self._rx
         app = self._app
         # One channel draw per live receiver, in receiver order. A secured
@@ -373,7 +362,6 @@ class HighwaySimulation:
             elif rng_random() < loss_p[r]:
                 losses += 1
             elif secured:
-                first_heard[r].setdefault(pid, now)
                 rx[r](sent, now)
             elif app is not None:
                 app(r, sent, now)
@@ -562,6 +550,7 @@ class HighwaySimulation:
             metrics.pending_dropped += bsec.pending_dropped
             metrics.verification_units += bsec.units_used
             metrics.units_by_vehicle_second.append(dict(bsec.units_by_second))
+            metrics.time_to_trust_ms.extend(bsec.time_to_trust_ms)
             for reason, count in bsec.discards.items():
                 metrics.discards[reason] = metrics.discards.get(reason, 0) + count
         metrics.finalize()

@@ -10,6 +10,7 @@ the sweep grid: a grid key addresses a field either by its bare name or as
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -29,6 +30,13 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,22 +143,22 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     "scenario": {
         "name": ("name", str),
         "vehicle_count": ("vehicle_count", int),
-        "initial_headway_m": ("initial_headway_m", float),
-        "initial_speed_mps": ("initial_speed_mps", float),
+        "initial_headway_m": ("initial_headway_m", _finite_float),
+        "initial_speed_mps": ("initial_speed_mps", _finite_float),
         "beacon_interval_ms": ("beacon_interval_ms", int),
-        "duration_s": ("duration_s", float),
-        "warmup_s": ("warmup_s", float),
+        "duration_s": ("duration_s", _finite_float),
+        "warmup_s": ("warmup_s", _finite_float),
         "seed": ("seed", int),
         "security_mode": ("security_mode", str),
-        "tx_range_m": ("tx_range_m", float),
+        "tx_range_m": ("tx_range_m", _finite_float),
         "crypto": ("crypto", str),
         "mobility_tick_ms": ("mobility_tick_ms", int),
         "record_trace": ("record_trace", _parse_bool),
     },
     "channel": {
-        "base_loss": ("base_loss", float),
-        "load_coefficient": ("load_coefficient", float),
-        "capacity_Bps": ("capacity_Bps", float),
+        "base_loss": ("base_loss", _finite_float),
+        "load_coefficient": ("load_coefficient", _finite_float),
+        "capacity_Bps": ("capacity_Bps", _finite_float),
         "propagation_delay_ms": ("propagation_delay_ms", int),
     },
     "beaconing": {
@@ -167,18 +175,18 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     },
     "pseudonym": {
         "pool_size": ("pool_size", int),
-        "cert_validity_s": ("cert_validity_s", float),
-        "min_lifetime_s": ("min_lifetime_s", float),
-        "max_lifetime_s": ("max_lifetime_s", float),
+        "cert_validity_s": ("cert_validity_s", _finite_float),
+        "min_lifetime_s": ("min_lifetime_s", _finite_float),
+        "max_lifetime_s": ("max_lifetime_s", _finite_float),
         "max_beacons": ("max_beacons", int),
     },
     "braking": {
         "enabled": ("braking_enabled", _parse_bool),
-        "trigger_time_s": ("trigger_time_s", float),
-        "lead_decel_mps2": ("lead_decel_mps2", float),
-        "brake_decel_mps2": ("brake_decel_mps2", float),
+        "trigger_time_s": ("trigger_time_s", _finite_float),
+        "lead_decel_mps2": ("lead_decel_mps2", _finite_float),
+        "brake_decel_mps2": ("brake_decel_mps2", _finite_float),
         "reaction_delay_ms": ("reaction_delay_ms", int),
-        "sight_threshold_m": ("sight_threshold_m", float),
+        "sight_threshold_m": ("sight_threshold_m", _finite_float),
     },
 }
 
@@ -196,8 +204,8 @@ def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file. Any problem raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     if not read:
         raise ScenarioError(f"cannot read scenario file {path!r}")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import struct
 from random import Random
 
@@ -436,18 +435,6 @@ def test_freshness_window_is_inclusive(sender, receiver):
     assert receiver.discards.get("stale") == 2
 
 
-def test_opposite_flow_filter(sender, fast_suite, ca):
-    receiver = _vehicle(fast_suite, ca, seed=302, opposite_flow_filter=True)
-    receiver.own_heading = 0.0
-
-    oncoming = sender.make_beacon(_beacon(0, heading=math.pi), 0)
-    result = receiver.on_receive(oncoming, 0)
-    assert result.status is ReceiveStatus.DISCARDED and result.reason == "opposite_flow"
-
-    same_flow = sender.make_beacon(_beacon(100, heading=0.3), 100)
-    assert receiver.on_receive(same_flow, 100).status is ReceiveStatus.DELIVERED
-
-
 def test_bad_signature_is_discarded_not_delivered(sender, receiver):
     # teach the receiver the real key first, then present a mismatched body
     sb = sender.make_beacon(_beacon(), 0)
@@ -531,10 +518,77 @@ def test_queue_eviction_drops_oldest(sender, fast_suite, ca):
     assert receiver.queue_depth == 2
     assert receiver.evicted_jobs == 1
 
-    receiver.verification_step(1200)
+    receiver.verification_step(1000)
     # the first queued beacon was evicted; the two younger ones delivered
     delivered_times = [sb.beacon.generation_time for sb, _ in log]
     assert delivered_times == [0, 20, 30]
+
+
+def test_queued_job_checks_certificate_validity_at_dequeue(fast_suite, ca):
+    """A beacon queued while its sender's certificate was valid is discarded
+    if the certificate has expired by the time the job reaches the head."""
+    sender = _vehicle(fast_suite, ca, seed=102, validity_ms=1000)
+    receiver = _vehicle(fast_suite, ca, seed=310, budget_per_second=2)
+    assert receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100).status \
+        is ReceiveStatus.DELIVERED  # spends the budget until t=1100
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    late = sender.make_beacon(_beacon(900), 900)
+    assert receiver.on_receive(late, 900).reason == "queued"
+    receiver.verification_step(1100)
+    assert receiver.delivered_count == 1
+    assert receiver.discards == {"expired_certificate": 1}
+    assert receiver.queue_depth == 0
+    assert receiver.units_used == 3  # the discarded job is still charged its unit
+
+
+def test_stale_known_key_job_is_discarded_at_dequeue(sender, fast_suite, ca):
+    receiver = _vehicle(fast_suite, ca, seed=311, budget_per_second=2)
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)  # exhausts budget
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    assert receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100).reason == "queued"
+    receiver.verification_step(1200)  # 1100 ms after generation
+    assert receiver.delivered_count == 1
+    assert receiver.discards == {"stale": 1}
+    assert receiver.queue_depth == 0
+    assert receiver.units_by_second == {0: 2, 1: 1}
+
+
+def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca):
+    """A first contact that went stale in the queue verifies nothing: the
+    neighbour stays unverified and no time to trust is recorded."""
+    receiver = _vehicle(fast_suite, ca, seed=312, budget_per_second=2)
+    other = _vehicle(fast_suite, ca, seed=313)
+    receiver.on_receive(other.make_beacon(_beacon(0), 0), 0)  # exhausts budget
+    first = sender.make_beacon(_beacon(100), 100)
+    assert receiver.on_receive(first, 100).reason == "queued"
+    receiver.verification_step(1200)
+    assert receiver.delivered_count == 1
+    assert receiver.discards == {"stale": 1}
+    assert not receiver.neighbors.get(first.signer_pseudonym_id).verified
+    assert receiver.time_to_trust_ms == [0]  # the other vehicle's only
+    assert receiver.units_by_second == {0: 2, 1: 2}  # charged both units
+
+
+def test_time_to_trust_runs_from_first_beacon_to_verified_certificate(sender, fast_suite, ca):
+    """Each neighbour entry records one sample, when its certificate first
+    verifies; a later first-contact job for the same pseudonym adds none."""
+    receiver = _vehicle(fast_suite, ca, seed=314, budget_per_second=4)
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    assert receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0).reason \
+        == "awaiting_certificate"
+    sender.strategy = OmissionStrategy.always()
+    assert receiver.on_receive(sender.make_beacon(_beacon(300), 300), 300).status \
+        is ReceiveStatus.DELIVERED  # and the held beacon behind it: 3 of 4 units
+    assert receiver.time_to_trust_ms == [300]
+
+    # two certificate beacons wait at the head for two units; both verify
+    # their certificate, only the first makes the entry trusted
+    other = _vehicle(fast_suite, ca, seed=315)
+    for t in (400, 500):
+        assert receiver.on_receive(other.make_beacon(_beacon(t), t), t).reason == "queued"
+    receiver.verification_step(1300)
+    assert receiver.queue_depth == 0 and receiver.delivered_count == 4
+    assert receiver.time_to_trust_ms == [300, 900]
 
 
 def test_receive_wire_counts_malformed(receiver):

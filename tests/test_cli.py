@@ -59,6 +59,14 @@ def test_run_missing_scenario_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_scenario_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(SCENARIO.replace("cli-check", "caf\u00e9").encode("latin-1"))
+    assert main(["validate", "--scenario", str(path)]) == 2
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_subcommand(scenario_file, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenario", scenario_file,

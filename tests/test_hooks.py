@@ -210,8 +210,8 @@ def test_type_and_direction_filters():
     assert not stack.dispatch(IlpPosition.ABOVE_NETWORK, _msg(tag=3), Direction.UP).delivered
     assert hits == [(3, Direction.UP)]
 
-    # traverse and transmit skip a point whose only handler is UP-only when
-    # going DOWN: the point is never dispatched and the bytes are untouched
+    # traverse and transmit pass every point in stack order; going DOWN the
+    # UP-only handler never runs and the bytes are untouched
     stack.adapter = RawEthernetAdapter()
     visited = []
     dispatch = stack.dispatch
@@ -221,11 +221,12 @@ def test_type_and_direction_filters():
     assert outcome.delivered and outcome.message.to_bytes() == message.to_bytes()
     frame = stack.transmit(message)
     assert frame == RawEthernetAdapter().link_address + message.to_bytes()
-    assert visited == []
+    assert visited == [(p, Direction.DOWN) for p in DOWN_ORDER] * 2
     assert hits == [(3, Direction.UP)]
-    # going UP the same point still runs its handler
+    # going UP the same point runs its handler, which stops the traversal
+    visited.clear()
     assert not stack.traverse(message, Direction.UP).delivered
-    assert visited == [(IlpPosition.ABOVE_NETWORK, Direction.UP)]
+    assert visited == [(p, Direction.UP) for p in UP_ORDER[:IlpPosition.ABOVE_NETWORK + 1]]
     assert hits == [(3, Direction.UP), (3, Direction.UP)]
 
     # a handler registered with directions=None runs in both directions
@@ -236,11 +237,8 @@ def test_type_and_direction_filters():
     assert stack.transmit(message) == frame
     assert stack.traverse(_msg(tag=4), Direction.UP).delivered
     assert seen == [Direction.DOWN, Direction.UP]
-    assert visited == [
-        (IlpPosition.BELOW_NETWORK, Direction.DOWN),
-        (IlpPosition.BELOW_NETWORK, Direction.UP),
-        (IlpPosition.ABOVE_NETWORK, Direction.UP),
-    ]
+    assert visited == ([(p, Direction.DOWN) for p in DOWN_ORDER]
+                       + [(p, Direction.UP) for p in UP_ORDER])
 
 
 # -- traversal order ----------------------------------------------------------------

@@ -1,7 +1,13 @@
-"""Wire parsers fail closed: any input decodes exactly or raises the parser's own error."""
+"""Parsers fail closed: any input decodes exactly or raises the parser's own error.
+
+That holds for the three wire parsers and for the two INI loaders, which
+must turn any file into a validated configuration or their own error.
+"""
 
 from __future__ import annotations
 
+import textwrap
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -18,6 +24,7 @@ from v2xsec.beaconing import (
     SecuredBeacon,
 )
 from v2xsec.clocks import VirtualClock
+from v2xsec.gateway import GatewayError, load_gateway_config
 from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, SignedBlob
 from v2xsec.identity import (
     CERT_WIRE_LEN,
@@ -26,6 +33,7 @@ from v2xsec.identity import (
     IdentityManager,
     MalformedCertificateError,
 )
+from v2xsec.sim.scenario import ScenarioConfig, ScenarioError, load_scenario
 from v2xsec.suites import FastHashSuite
 
 
@@ -93,3 +101,66 @@ def test_parsers_fail_closed(name, data):
     except error:
         return
     assert encode(decoded) == raw
+
+
+# -- configuration loaders ---------------------------------------------------------
+
+
+def _gateway_example() -> bytes:
+    """The example layout in ``load_gateway_config``'s docstring."""
+    doc = load_gateway_config.__doc__
+    return textwrap.dedent(doc.split("Layout::", 1)[1]).strip().encode() + b"\n"
+
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# name -> (load, its error, the type a successful load returns, one valid file)
+LOADERS = {
+    f"scenario:{path.name}": (load_scenario, ScenarioError, ScenarioConfig, path.read_bytes())
+    for path in sorted(_SCENARIOS.glob("*.ini"))
+}
+LOADERS["gateway:docstring"] = (load_gateway_config, GatewayError, tuple, _gateway_example())
+
+# byte strings that reach the INI syntax and the value parsers
+_TOKENS = (b"\n", b"[", b"]", b"=", b":", b"inf", b"nan", b"-1", b"1e999", b"\xff", b"\xc3")
+
+
+def _mutate(sample: bytes, edits: list[tuple[str, int, bytes]]) -> bytes:
+    data = bytearray(sample)
+    for op, index, chunk in edits:
+        index %= len(data) + 1
+        if op == "set":
+            data[index:index + len(chunk)] = chunk
+        elif op == "insert":
+            data[index:index] = chunk
+        else:
+            del data[index:index + len(chunk)]
+    return bytes(data)
+
+
+def _mutations(sample: bytes) -> st.SearchStrategy[bytes]:
+    chunk = st.one_of(st.binary(min_size=1, max_size=4), st.sampled_from(_TOKENS))
+    edit = st.tuples(st.sampled_from(("set", "insert", "delete")),
+                     st.integers(0, len(sample)), chunk)
+    return st.lists(edit, min_size=1, max_size=6).map(lambda edits: _mutate(sample, edits))
+
+
+def test_gateway_docstring_example_loads(tmp_path):
+    path = tmp_path / "gateway.ini"
+    path.write_bytes(_gateway_example())
+    _, spec = load_gateway_config(str(path))
+    assert sorted(spec.signals) == ["gear", "speed"]
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_loaders_fail_closed(name, data, tmp_path_factory):
+    load, error, kind, sample = LOADERS[name]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
+    path.write_bytes(data.draw(_mutations(sample), label="file"))
+    try:
+        loaded = load(str(path))
+    except error:
+        return
+    assert isinstance(loaded, kind)
