@@ -31,7 +31,6 @@ def station(name, ca, seed, log):
         hsm, manager, ca.public_key,
         OmissionStrategy.neighbor_triggered(beta=1),
         deliver=lambda sb, now: log.append((name, now, sb.signer_pseudonym_id.hex())),
-        suite=SUITE,
     )
 
 

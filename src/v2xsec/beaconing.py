@@ -15,12 +15,14 @@ after their signature, and on first contact the sender's certificate, have
 verified: unverified traffic stays pending and is never delivered. Freshness
 and certificate validity are checked on arrival and again when a job reaches
 the queue head, so nothing goes stale waiting for its turn. The neighbor
-table is the only per-neighbor state; each entry's time to trust runs from
-its first beacon until its certificate verifies.
+table is the only per-neighbor state: an entry holds the verified key, the
+beacons awaiting a certificate, and the first-beacon time that time to trust
+runs from.
 
-Wire format of a secured beacon (fixed sizes): 2-byte type tag, 4-byte
-pseudonym id, 40-byte beacon body, 72-byte timestamped signature, 1-byte
-certificate-present flag, optional 142-byte certificate.
+Wire format of a secured beacon, byte offsets in brackets: 2-byte type tag
+[0], 4-byte pseudonym id [2], 40-byte beacon body [6], 8-byte signature
+timestamp [46], 64-byte padded signature [54], 1-byte certificate flag [118],
+optional 142-byte certificate [119]. The signature covers [6:54].
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .hsm import SIGNED_BLOB_LEN, Hsm, SignedBlob, signed_payload
+from .hsm import SIGNED_BLOB_LEN, TIMESTAMP_LEN, Hsm, SignedBlob, signed_payload
 from .identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -42,7 +44,7 @@ from .identity import (
     PseudonymChangePolicy,
     verify_certificate,
 )
-from .suites import P224Suite, SignatureSuite, pad_signature
+from .suites import pad_signature
 
 PLAIN_BEACON_TYPE = 0x0B00
 SECURED_BEACON_TYPE = 0x0B01
@@ -50,8 +52,14 @@ SECURED_BEACON_TYPE = 0x0B01
 BEACON_BODY_LEN = 40
 _BEACON_FMT = ">ddffQ8s"
 
-# tag + pseudonym id + beacon + signed blob + certificate flag
-SECURED_BEACON_LEN = 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN + 1
+# secured beacon offsets: tag, pseudonym id, body, signed blob, certificate flag
+_SECURED_TAG = struct.pack(">H", SECURED_BEACON_TYPE)
+_PID_AT = len(_SECURED_TAG)
+_BODY_AT = _PID_AT + PSEUDONYM_ID_LEN
+_BLOB_AT = _BODY_AT + BEACON_BODY_LEN
+_SIGNED_END = _BLOB_AT + TIMESTAMP_LEN  # the signature covers [_BODY_AT:_SIGNED_END]
+_FLAG_AT = _BLOB_AT + SIGNED_BLOB_LEN
+SECURED_BEACON_LEN = _FLAG_AT + 1
 SECURED_BEACON_WITH_CERT_LEN = SECURED_BEACON_LEN + CERT_WIRE_LEN
 PLAIN_BEACON_LEN = 2 + BEACON_BODY_LEN
 
@@ -161,26 +169,22 @@ def decide_attach(strategy: OmissionStrategy, beacons_sent: int,
 
 
 class SecuredBeacon:
-    """A beacon plus its pseudonymous signature and optional certificate."""
+    """A beacon plus its pseudonymous signature and optional certificate.
 
-    __slots__ = ("beacon", "signer_pseudonym_id", "blob", "certificate",
-                 "_beacon_bytes", "signed_payload")
+    ``signed_payload`` (body || timestamp) is the bytes the signature covers:
+    built once by the sender, sliced out of the wire bytes by the parser.
+    """
+
+    __slots__ = ("beacon", "signer_pseudonym_id", "blob", "certificate", "signed_payload")
 
     def __init__(self, beacon: Beacon, signer_pseudonym_id: bytes,
                  blob: SignedBlob, certificate: CompactCertificate | None,
-                 beacon_bytes: bytes | None = None) -> None:
+                 signed_payload: bytes) -> None:
         self.beacon = beacon
         self.signer_pseudonym_id = signer_pseudonym_id
         self.blob = blob
         self.certificate = certificate
-        self._beacon_bytes = beacon_bytes if beacon_bytes is not None else beacon.pack()
-        # exactly the bytes the signature covers, computed once per beacon
-        # rather than at every receiving verifier
-        self.signed_payload = signed_payload(self._beacon_bytes, blob.timestamp)
-
-    @property
-    def beacon_bytes(self) -> bytes:
-        return self._beacon_bytes
+        self.signed_payload = signed_payload
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,77 +195,63 @@ class SecuredBeacon:
             and self.certificate == other.certificate
         )
 
-    def to_bytes(self) -> bytes:
-        """Body without the 2-byte type tag (the hook message body).
-
-        ``signed_payload`` is the beacon body followed by the blob's
-        timestamp, so it stands in for both on the wire.
-        """
+    def to_wire(self) -> bytes:
         cert = self.certificate
         return b"".join((
+            _SECURED_TAG,
             self.signer_pseudonym_id,
             self.signed_payload,
             pad_signature(self.blob.signature),
             b"\x00" if cert is None else b"\x01" + cert.to_bytes(),
         ))
 
-    def to_wire(self) -> bytes:
-        return struct.pack(">H", SECURED_BEACON_TYPE) + self.to_bytes()
-
     @classmethod
-    def from_bytes(cls, body: bytes) -> "SecuredBeacon":
-        base = PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN + 1
-        if len(body) not in (base, base + CERT_WIRE_LEN):
-            raise MalformedBeaconError(f"secured beacon body of {len(body)}B")
-        pid = body[:PSEUDONYM_ID_LEN]
-        off = PSEUDONYM_ID_LEN
-        beacon_bytes = body[off:off + BEACON_BODY_LEN]
-        beacon = Beacon.unpack(beacon_bytes)
-        off += BEACON_BODY_LEN
+    def from_wire(cls, data: bytes) -> "SecuredBeacon":
+        if data[:_PID_AT] != _SECURED_TAG:
+            raise MalformedBeaconError("not a secured beacon")
+        if len(data) not in (SECURED_BEACON_LEN, SECURED_BEACON_WITH_CERT_LEN):
+            raise MalformedBeaconError(f"secured beacon of {len(data)}B")
+        beacon = Beacon.unpack(data[_BODY_AT:_BLOB_AT])
         try:
-            blob = SignedBlob.from_bytes(body[off:off + SIGNED_BLOB_LEN])
+            blob = SignedBlob.from_bytes(data[_BLOB_AT:_FLAG_AT])
         except ValueError as exc:
             raise MalformedBeaconError(str(exc)) from exc
-        off += SIGNED_BLOB_LEN
-        flag = body[off]
-        off += 1
+        flag = data[_FLAG_AT]
         if flag == 0x00:
-            if len(body) != base:
+            if len(data) != SECURED_BEACON_LEN:
                 raise MalformedBeaconError("certificate flag clear but trailing bytes present")
             cert = None
         elif flag == 0x01:
-            if len(body) != base + CERT_WIRE_LEN:
+            if len(data) != SECURED_BEACON_WITH_CERT_LEN:
                 raise MalformedBeaconError("certificate flag set but certificate missing")
             try:
-                cert = CompactCertificate.from_bytes(body[off:])
+                cert = CompactCertificate.from_bytes(data[SECURED_BEACON_LEN:])
             except MalformedCertificateError as exc:
                 raise MalformedBeaconError(str(exc)) from exc
         else:
             raise MalformedBeaconError(f"bad certificate flag {flag:#x}")
-        return cls(beacon, pid, blob, cert, beacon_bytes=beacon_bytes)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "SecuredBeacon":
-        if len(data) < 2 or struct.unpack(">H", data[:2])[0] != SECURED_BEACON_TYPE:
-            raise MalformedBeaconError("not a secured beacon")
-        return cls.from_bytes(data[2:])
+        return cls(beacon, data[_PID_AT:_BODY_AT], blob, cert, data[_BODY_AT:_SIGNED_END])
 
 
 # -- neighbor table ----------------------------------------------------------------
 
 
 class NeighborEntry:
+    """One sender pseudonym. Until its certificate verifies, ``held`` keeps
+    its certless beacons (a bounded deque, made on first use); afterwards
+    ``public_key`` and ``validity_end`` come from the certificate."""
+
     __slots__ = ("pseudonym_id", "first_seen", "last_seen", "verified", "public_key",
-                 "validity_end")
+                 "validity_end", "held")
 
     def __init__(self, pseudonym_id: bytes, now: int) -> None:
         self.pseudonym_id = pseudonym_id
         self.first_seen = now
         self.last_seen = now
         self.verified = False
-        # the verified certificate's key and the end of its validity window
         self.public_key: bytes | None = None
         self.validity_end = 0
+        self.held: deque[SecuredBeacon] | None = None
 
 
 class NeighborTable:
@@ -300,12 +290,12 @@ class NeighborTable:
     def mark_beacon_sent(self) -> None:
         self.new_since_mark = False
 
-    def sweep(self, now: int) -> list[bytes]:
-        """Drop entries silent for longer than the expiry; returns their ids."""
+    def sweep(self, now: int) -> list[NeighborEntry]:
+        """Drop entries silent for longer than the expiry and return them."""
         horizon = now - self.expiry_ms
-        expired = [pid for pid, e in self.entries.items() if e.last_seen < horizon]
-        for pid in expired:
-            del self.entries[pid]
+        expired = [e for e in self.entries.values() if e.last_seen < horizon]
+        for entry in expired:
+            del self.entries[entry.pseudonym_id]
         return expired
 
 
@@ -394,7 +384,8 @@ class BeaconSecurity:
     All methods take explicit times in ms so a simulation can drive many
     instances deterministically. Delivery to the application happens only
     through the ``deliver`` callback, and only for beacons whose signature
-    chain has fully verified (the trust gate).
+    chain has fully verified (the trust gate). Certificates and signatures
+    are checked with the HSM's own signature suite.
     """
 
     def __init__(
@@ -409,7 +400,6 @@ class BeaconSecurity:
         queue_capacity: int = 64,
         pending_capacity: int = 64,
         freshness_window_ms: int = 1000,
-        suite: SignatureSuite | None = None,
     ) -> None:
         if queue_capacity < 1 or pending_capacity < 1:
             raise BeaconingError("capacities must be positive")
@@ -423,11 +413,10 @@ class BeaconSecurity:
         self.queue_capacity = queue_capacity
         self.pending_capacity = pending_capacity
         self.freshness_window_ms = freshness_window_ms
-        self.suite = suite if suite is not None else P224Suite()
+        self.suite = hsm.suite
         self._queue: deque[_Job] = deque(maxlen=queue_capacity)
         # Before this time the budget stays spent and no queued job can run.
         self._idle_until = 0
-        self._pending: dict[bytes, deque[SecuredBeacon]] = {}
         self._beta_remaining = 0
         # counters
         self.beacons_sent = 0
@@ -462,8 +451,8 @@ class BeaconSecurity:
             raise NoActivePseudonymError("no active pseudonym")
         attach = decide_attach(self.strategy, self.beacons_sent,
                                self._beta_remaining, self.neighbors.new_since_mark)
-        beacon_bytes = beacon.pack()
-        blob = self.hsm.sign_and_timestamp(active.key_id, beacon_bytes)
+        body = beacon.pack()
+        blob = self.hsm.sign_and_timestamp(active.key_id, body)
         active.beacons_signed += 1
         self.beacons_sent += 1
         if self._beta_remaining > 0:
@@ -472,7 +461,8 @@ class BeaconSecurity:
         cert = active.certificate if attach else None
         if attach:
             self.beacons_sent_with_cert += 1
-        return SecuredBeacon(beacon, active.pseudonym_id, blob, cert, beacon_bytes)
+        return SecuredBeacon(beacon, active.pseudonym_id, blob, cert,
+                             signed_payload(body, blob.timestamp))
 
     # -- receiving -----------------------------------------------------------
 
@@ -492,8 +482,7 @@ class BeaconSecurity:
         window = self.freshness_window_ms
         if delta > window or -delta > window:
             return self._discard(DISCARD_STALE)
-        pid = sb.signer_pseudonym_id
-        entry = self.neighbors.observe(pid, now)
+        entry = self.neighbors.observe(sb.signer_pseudonym_id, now)
         if entry.verified:
             if now > entry.validity_end:
                 return self._discard(DISCARD_EXPIRED_CERTIFICATE)
@@ -501,12 +490,12 @@ class BeaconSecurity:
         elif sb.certificate is not None:
             job = (sb, None, 0)
         else:
-            bucket = self._pending.get(pid)
-            if bucket is None:
-                bucket = self._pending[pid] = deque(maxlen=self.pending_capacity)
-            if len(bucket) == self.pending_capacity:
+            held = entry.held
+            if held is None:
+                held = entry.held = deque(maxlen=self.pending_capacity)
+            elif len(held) == self.pending_capacity:
                 self.pending_dropped += 1  # the append drops the oldest
-            bucket.append(sb)
+            held.append(sb)
             return PENDING_AWAITING_CERT
         self._enqueue(job)
         if now < self._idle_until:
@@ -519,13 +508,13 @@ class BeaconSecurity:
             self._drain(now)
 
     def neighbor_maintenance(self, now: int) -> list[bytes]:
-        """Expire silent neighbors and drop their pending beacons."""
+        """Expire silent neighbors, dropping the beacons they held; returns
+        the expired pseudonym ids."""
         expired = self.neighbors.sweep(now)
-        for pid in expired:
-            bucket = self._pending.pop(pid, None)
-            if bucket:
-                self.pending_dropped += len(bucket)
-        return expired
+        for entry in expired:
+            if entry.held:
+                self.pending_dropped += len(entry.held)
+        return [entry.pseudonym_id for entry in expired]
 
     @property
     def units_used(self) -> int:
@@ -537,7 +526,7 @@ class BeaconSecurity:
 
     @property
     def pending_count(self) -> int:
-        return sum(len(b) for b in self._pending.values())
+        return sum(len(e.held) for e in self.neighbors.entries.values() if e.held)
 
     # -- internals --------------------------------------------------------------
 
@@ -626,22 +615,23 @@ class BeaconSecurity:
         if not self.suite.verify(public_key, sb.signed_payload, sb.blob.signature):
             return self._discard(DISCARD_BAD_SIGNATURE)
         entry = self.neighbors.get(pid)
+        held = None
         if entry is not None:
             if not entry.verified:
                 self.time_to_trust_ms.append(now - entry.first_seen)
             entry.verified = True
             entry.public_key = public_key
             entry.validity_end = cert.validity_end
+            held, entry.held = entry.held, None
         self.delivered_count += 1
         if self.deliver is not None:
             self.deliver(sb, now)
-        bucket = self._pending.pop(pid, None)
-        if bucket:
+        if held:
             window = self.freshness_window_ms
-            for held in bucket:
-                delta = now - held.beacon.generation_time
+            for waiting in held:
+                delta = now - waiting.beacon.generation_time
                 if delta > window or -delta > window:
                     self._discard(DISCARD_STALE)
                 else:
-                    self._enqueue((held, public_key, cert.validity_end))
+                    self._enqueue((waiting, public_key, cert.validity_end))
         return DELIVERED

@@ -202,7 +202,6 @@ class HighwaySimulation:
                 queue_capacity=config.queue_capacity,
                 pending_capacity=config.pending_capacity,
                 freshness_window_ms=config.freshness_window_ms,
-                suite=self.suite,
             )
             self.nodes.append(_Node(bsec))
             bsec.on_pseudonym_change(identity.activate_next(0, self.change_policy))

@@ -1,22 +1,31 @@
 """Scenario configuration: INI files with strict validation.
 
-A scenario file groups parameters into sections; every key must be known and
-every value must parse. Unknown sections or keys are hard errors, not
-warnings, so experiment configs cannot silently drift. The same schema backs
-the sweep grid: a grid key addresses a field either by its bare name or as
-``section.key``.
+A scenario file groups parameters into the sections of ``_SECTIONS``. Each
+(case-sensitive) key sets the ``ScenarioConfig`` field of the same name, bar
+``[braking] enabled``, and the field's type picks the parser: ``float``
+values must be finite, ``bool`` takes true/false, yes/no, on/off or 1/0.
+Unknown sections or keys are hard errors, not warnings, so experiment configs
+cannot silently drift. ``validate`` checks ranges, including two ceilings:
+every time, in ms or in s, is at most ``MAX_MS`` ms, and the queue and
+pending capacities are at most ``MAX_CAPACITY``. The same schema backs the
+sweep grid: a grid key addresses a field by its bare key or as ``section.key``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
 SECURITY_MODES = ("novc", "unsecured", "secured")
 STRATEGIES = ("always", "periodic", "neighbor_triggered")
 CRYPTO_SUITES = ("fast", "p224")
+
+# Every time stays below 2**53 ms, so seconds convert to whole ms exactly, and
+# a time plus a span fits the 8-byte time fields of beacons and certificates.
+MAX_MS = 10**15  # about 31,700 years
+MAX_CAPACITY = 10**9
 
 
 class ScenarioError(Exception):
@@ -135,74 +144,52 @@ class ScenarioConfig:
         need(self.brake_decel_mps2 > 0, "brake_decel_mps2 must be positive")
         need(self.reaction_delay_ms >= 0, "reaction_delay_ms must be nonnegative")
         need(self.sight_threshold_m > 0, "sight_threshold_m must be positive")
+        # the checks above bound warmup_s, min_lifetime_s and mobility_tick_ms
+        for name in ("beacon_interval_ms", "duration_s", "propagation_delay_ms",
+                     "freshness_window_ms", "neighbor_expiry_ms", "cert_validity_s",
+                     "max_lifetime_s", "trigger_time_s", "reaction_delay_ms"):
+            ms = getattr(self, name) * (1000 if name.endswith("_s") else 1)
+            need(ms <= MAX_MS, f"{name} exceeds the ceiling of {MAX_MS:,} ms")
+        for name in ("queue_capacity", "pending_capacity"):
+            need(getattr(self, name) <= MAX_CAPACITY,
+                 f"{name} exceeds the ceiling of {MAX_CAPACITY:,}")
 
 
-# Maps INI (section, key) to (dataclass field, parser). The INI keys match the
-# field names except where a section prefix would repeat (braking.enabled).
-_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
-    "scenario": {
-        "name": ("name", str),
-        "vehicle_count": ("vehicle_count", int),
-        "initial_headway_m": ("initial_headway_m", _finite_float),
-        "initial_speed_mps": ("initial_speed_mps", _finite_float),
-        "beacon_interval_ms": ("beacon_interval_ms", int),
-        "duration_s": ("duration_s", _finite_float),
-        "warmup_s": ("warmup_s", _finite_float),
-        "seed": ("seed", int),
-        "security_mode": ("security_mode", str),
-        "tx_range_m": ("tx_range_m", _finite_float),
-        "crypto": ("crypto", str),
-        "mobility_tick_ms": ("mobility_tick_ms", int),
-        "record_trace": ("record_trace", _parse_bool),
-    },
-    "channel": {
-        "base_loss": ("base_loss", _finite_float),
-        "load_coefficient": ("load_coefficient", _finite_float),
-        "capacity_Bps": ("capacity_Bps", _finite_float),
-        "propagation_delay_ms": ("propagation_delay_ms", int),
-    },
-    "beaconing": {
-        "strategy": ("strategy", str),
-        "alpha": ("alpha", int),
-        "beta": ("beta", int),
-        "freshness_window_ms": ("freshness_window_ms", int),
-        "neighbor_expiry_ms": ("neighbor_expiry_ms", int),
-    },
-    "verification": {
-        "budget_per_second": ("budget_per_second", int),
-        "queue_capacity": ("queue_capacity", int),
-        "pending_capacity": ("pending_capacity", int),
-    },
-    "pseudonym": {
-        "pool_size": ("pool_size", int),
-        "cert_validity_s": ("cert_validity_s", _finite_float),
-        "min_lifetime_s": ("min_lifetime_s", _finite_float),
-        "max_lifetime_s": ("max_lifetime_s", _finite_float),
-        "max_beacons": ("max_beacons", int),
-    },
-    "braking": {
-        "enabled": ("braking_enabled", _parse_bool),
-        "trigger_time_s": ("trigger_time_s", _finite_float),
-        "lead_decel_mps2": ("lead_decel_mps2", _finite_float),
-        "brake_decel_mps2": ("brake_decel_mps2", _finite_float),
-        "reaction_delay_ms": ("reaction_delay_ms", int),
-        "sight_threshold_m": ("sight_threshold_m", _finite_float),
-    },
+# INI section -> its keys. A key is the name of the field it sets, except
+# where a section prefix would repeat (braking.enabled).
+_SECTIONS = {
+    "scenario": ("name", "vehicle_count", "initial_headway_m", "initial_speed_mps",
+                 "beacon_interval_ms", "duration_s", "warmup_s", "seed", "security_mode",
+                 "tx_range_m", "crypto", "mobility_tick_ms", "record_trace"),
+    "channel": ("base_loss", "load_coefficient", "capacity_Bps", "propagation_delay_ms"),
+    "beaconing": ("strategy", "alpha", "beta", "freshness_window_ms", "neighbor_expiry_ms"),
+    "verification": ("budget_per_second", "queue_capacity", "pending_capacity"),
+    "pseudonym": ("pool_size", "cert_validity_s", "min_lifetime_s", "max_lifetime_s",
+                  "max_beacons"),
+    "braking": ("enabled", "trigger_time_s", "lead_decel_mps2", "brake_decel_mps2",
+                "reaction_delay_ms", "sight_threshold_m"),
 }
+_RENAMED = {"braking.enabled": "braking_enabled"}
+_PARSERS = {"str": str, "int": int, "float": _finite_float, "bool": _parse_bool}
+_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
-# Flat lookup for grid overrides: bare key and section.key both work.
+# INI (section, key) -> (field, parser), and the flat lookup for grid
+# overrides, where both the bare key and section.key work.
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
 _FLAT: dict[str, tuple[str, Callable[[str], Any]]] = {}
-for _section, _keys in _SCHEMA.items():
-    for _key, (_attr, _parser) in _keys.items():
-        _FLAT[f"{_section}.{_key}"] = (_attr, _parser)
-        # every bare key in the schema is unique except braking's "enabled"
-        if _key not in _FLAT:
-            _FLAT[_key] = (_attr, _parser)
+for _section, _keys in _SECTIONS.items():
+    _SCHEMA[_section] = {}
+    for _key in _keys:
+        _attr = _RENAMED.get(f"{_section}.{_key}", _key)
+        _entry = _SCHEMA[_section][_key] = (_attr, _PARSERS[_FIELD_TYPES[_attr]])
+        _FLAT[f"{_section}.{_key}"] = _entry
+        _FLAT.setdefault(_key, _entry)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file. Any problem raises ScenarioError."""
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys are case sensitive, like the field names
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:

@@ -26,7 +26,7 @@ from v2xsec.beaconing import (
     decide_attach,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm
+from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, signed_payload
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -55,7 +55,7 @@ def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, validity_ms=1
     if strategy is None:
         strategy = OmissionStrategy.always()
     return BeaconSecurity(hsm, manager, ca.public_key, strategy,
-                          deliver=deliver, suite=suite, **kwargs)
+                          deliver=deliver, **kwargs)
 
 
 @pytest.fixture
@@ -115,40 +115,45 @@ def test_secured_beacon_roundtrip(sender):
     for strategy in (OmissionStrategy.always(), OmissionStrategy.neighbor_triggered()):
         sender.strategy = strategy
         sb = sender.make_beacon(_beacon(), 0)
-        back = SecuredBeacon.from_wire(sb.to_wire())
+        wire = sb.to_wire()
+        back = SecuredBeacon.from_wire(wire)
         assert back == sb
-        assert back.to_wire() == sb.to_wire()
+        assert back.to_wire() == wire
+        # __eq__ leaves out the signed bytes: body || timestamp, one wire slice
+        assert back.signed_payload == wire[6:54] == sb.signed_payload
 
 
 def test_secured_beacon_parser_is_strict(sender):
     sb = sender.make_beacon(_beacon(), 0)
     wire = sb.to_wire()
-    body = wire[2:]
 
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_wire(struct.pack(">H", 0x0B00) + body)  # wrong tag
+        SecuredBeacon.from_wire(struct.pack(">H", 0x0B00) + wire[2:])  # wrong tag
+    for truncated in (b"", wire[:1]):
+        with pytest.raises(MalformedBeaconError):
+            SecuredBeacon.from_wire(truncated)
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_bytes(body + b"\x00")  # off-size body
+        SecuredBeacon.from_wire(wire + b"\x00")  # off-size
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_bytes(body[:-1])
+        SecuredBeacon.from_wire(wire[:-1])
 
-    flag_at = PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN
-    cleared = bytearray(body)
+    flag_at = 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN
+    cleared = bytearray(wire)
     cleared[flag_at] = 0x00  # flag says no certificate, but one follows
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_bytes(bytes(cleared))
+        SecuredBeacon.from_wire(bytes(cleared))
 
-    bad_flag = bytearray(body)
+    bad_flag = bytearray(wire)
     bad_flag[flag_at] = 0x02
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_bytes(bytes(bad_flag))
+        SecuredBeacon.from_wire(bytes(bad_flag))
 
     sender.strategy = OmissionStrategy.neighbor_triggered()
     short = sender.make_beacon(_beacon(), 100)
-    set_flag = bytearray(short.to_bytes())
+    set_flag = bytearray(short.to_wire())
     set_flag[flag_at] = 0x01  # flag says certificate, none follows
     with pytest.raises(MalformedBeaconError):
-        SecuredBeacon.from_bytes(bytes(set_flag))
+        SecuredBeacon.from_wire(bytes(set_flag))
 
 
 # -- omission strategies -----------------------------------------------------------
@@ -247,7 +252,7 @@ def test_neighbor_table_marks_and_expiry():
     assert not table.new_since_mark
 
     assert table.sweep(3100) == []  # silent for exactly expiry_ms: kept
-    assert table.sweep(3101) == [b"\x00\x00\x00\x01"]
+    assert [e.pseudonym_id for e in table.sweep(3101)] == [b"\x00\x00\x00\x01"]
     assert len(table) == 0
 
     with pytest.raises(BeaconingError):
@@ -409,6 +414,9 @@ def test_pending_bucket_is_bounded(sender, fast_suite, ca):
         receiver.on_receive(sender.make_beacon(_beacon(t), t), t)
     assert receiver.pending_count == 2
     assert receiver.pending_dropped == 1
+    # the sender's neighbor entry holds the newest two
+    entry = receiver.neighbors.get(sender.identity.active.pseudonym_id)
+    assert [sb.beacon.generation_time for sb in entry.held] == [100, 200]
 
 
 def test_neighbor_expiry_drops_pending(sender, fast_suite, ca):
@@ -440,8 +448,9 @@ def test_bad_signature_is_discarded_not_delivered(sender, receiver):
     sb = sender.make_beacon(_beacon(), 0)
     receiver.on_receive(sb, 0)
     tampered = Beacon(x=999.0, y=0.0, velocity=30.0, heading=0.0, generation_time=100)
-    lying = SecuredBeacon(tampered, sb.signer_pseudonym_id,
-                          sender.make_beacon(_beacon(100), 100).blob, None)
+    blob = sender.make_beacon(_beacon(100), 100).blob
+    lying = SecuredBeacon(tampered, sb.signer_pseudonym_id, blob, None,
+                          signed_payload(tampered.pack(), blob.timestamp))
     result = receiver.on_receive(lying, 100)
     assert result.status is ReceiveStatus.DISCARDED
     assert result.reason == "bad_signature"
@@ -454,7 +463,7 @@ def test_bad_certificate_is_discarded(sender, receiver, fast_suite):
     rogue_ca = CertificateAuthority(9, suite=fast_suite, rng=Random(999))
     rogue_cert = rogue_ca.issue(sb.certificate.subject_public_key, 0, 10**10)
     rogue = SecuredBeacon(sb.beacon, sb.signer_pseudonym_id, sb.blob, rogue_cert,
-                          beacon_bytes=sb.beacon_bytes)
+                          sb.signed_payload)
     result = receiver.on_receive(rogue, 0)
     assert result.status is ReceiveStatus.DISCARDED
     assert result.reason == "bad_certificate"
@@ -469,7 +478,7 @@ def test_claimed_pseudonym_id_must_match_certificate(sender, receiver, fast_suit
     victim_pid = sender.identity.active.pseudonym_id
     own = attacker.make_beacon(_beacon(0), 0)
     hijack = SecuredBeacon(own.beacon, victim_pid, own.blob, own.certificate,
-                           beacon_bytes=own.beacon_bytes)
+                           own.signed_payload)
     result = receiver.on_receive(hijack, 0)
     assert result.status is ReceiveStatus.DISCARDED
     assert result.reason == "bad_certificate"
@@ -604,14 +613,22 @@ def test_receive_wire_roundtrip(sender, receiver):
     assert receiver.receive_wire(sb.to_wire(), 0).status is ReceiveStatus.DELIVERED
 
 
+def test_station_verifies_with_its_hsm_suite(sender, receiver, fast_suite):
+    # No suite is passed to BeaconSecurity, as in the README: a station on a
+    # fast-suite HSM must verify with that suite, not fall back to P-224.
+    assert receiver.suite is fast_suite
+    sb = sender.make_beacon(_beacon(), 0)
+    assert receiver.receive_wire(sb.to_wire(), 0).status is ReceiveStatus.DELIVERED
+    assert receiver.delivered_log == [(sb, 0)]
+
+
 def test_make_beacon_requires_active_pseudonym(fast_suite, ca):
     clock = VirtualClock(0)
     hsm = Hsm(clock, fast_suite, Random(5))
     hsm.install_factory_root(ca.public_key)
     manager = IdentityManager(hsm, rng=Random(6))
     manager.provision(ca, 1, validity_ms=10**6)
-    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always(),
-                          suite=fast_suite)
+    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always())
     with pytest.raises(NoActivePseudonymError):
         bsec.make_beacon(_beacon(), 0)
 

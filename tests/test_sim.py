@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -15,6 +16,10 @@ from v2xsec.sim.metrics import (
     write_csv,
 )
 from v2xsec.sim.scenario import (
+    _FLAT,
+    _SCHEMA,
+    MAX_CAPACITY,
+    MAX_MS,
     ScenarioConfig,
     ScenarioError,
     apply_override,
@@ -378,6 +383,18 @@ def test_load_scenario(tmp_path):
     ("[beaconing]\nopposite_flow_filter = true\n", "unknown key"),
     ("[scenario]\nduration_s = inf\n", "duration_s .* not a finite number"),
     ("[channel]\nbase_loss = nan\n", "base_loss .* not a finite number"),
+    # finite values that pass every range check but overflow a run's ms
+    # conversion, an 8-byte wire field or a deque bound
+    ("[scenario]\nduration_s = 1e306\n", "duration_s exceeds the ceiling of 1,000,000,000,000,000 ms"),
+    ("[pseudonym]\nmax_lifetime_s = 1e306\n", "max_lifetime_s exceeds the ceiling"),
+    ("[braking]\ntrigger_time_s = 1e306\n", "trigger_time_s exceeds the ceiling"),
+    ("[pseudonym]\ncert_validity_s = 1e300\n", "cert_validity_s exceeds the ceiling"),
+    ("[scenario]\nbeacon_interval_ms = 100000000000000000000\n",
+     "beacon_interval_ms exceeds the ceiling"),
+    ("[verification]\nqueue_capacity = 100000000000000000000\n",
+     "queue_capacity exceeds the ceiling of 1,000,000,000"),
+    ("[verification]\npending_capacity = 100000000000000000000\n",
+     "pending_capacity exceeds the ceiling"),
 ])
 def test_load_scenario_rejects(tmp_path, text, needle):
     path = tmp_path / "bad.ini"
@@ -406,6 +423,49 @@ def test_apply_override():
         apply_override(config, "warmup_s", "99")  # fails validation
     with pytest.raises(ScenarioError, match="not a finite number"):
         apply_override(config, "duration_s", "inf")
+    with pytest.raises(ScenarioError, match="cert_validity_s exceeds the ceiling"):
+        apply_override(config, "pseudonym.cert_validity_s", "1e300")
+
+
+def test_values_at_the_ceilings_run():
+    at_ceiling = _config(
+        vehicle_count=3, duration_s=1.0, warmup_s=0.0, beacon_interval_ms=MAX_MS,
+        freshness_window_ms=MAX_MS, neighbor_expiry_ms=MAX_MS,
+        cert_validity_s=MAX_MS / 1000, max_lifetime_s=MAX_MS / 1000,
+        braking_enabled=True, trigger_time_s=MAX_MS / 1000, reaction_delay_ms=MAX_MS,
+        queue_capacity=MAX_CAPACITY, pending_capacity=MAX_CAPACITY,
+    )
+    at_ceiling.validate()
+    metrics = run_scenario(at_ceiling)
+    assert metrics.beacons_sent >= 1 and metrics.delivered >= 1
+    late = _config(duration_s=1.0, warmup_s=0.0, propagation_delay_ms=MAX_MS)
+    late.validate()
+    assert run_scenario(late).delivered == 0  # every frame lands long stale
+
+
+def test_scenario_schema_covers_every_field_once(tmp_path):
+    defaults = ScenarioConfig()
+    keys_of: dict[str, list[tuple[str, str]]] = {}
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (attr, _) in keys.items():
+            keys_of.setdefault(attr, []).append((section, key))
+            lines.append(f"{key} = {getattr(defaults, attr)}")
+    assert sorted(keys_of) == sorted(f.name for f in fields(ScenarioConfig))
+    assert all(len(places) == 1 for places in keys_of.values())
+
+    # every key in the file, mixed-case ones too, sets its field
+    path = tmp_path / "defaults.ini"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_scenario(str(path)) == defaults
+
+    for attr, [(section, key)] in keys_of.items():
+        assert _FLAT[f"{section}.{key}"][0] == attr
+        assert _FLAT[key][0] == attr
+        raw = str(getattr(defaults, attr))
+        assert apply_override(defaults, f"{section}.{key}", raw) == defaults
+        assert apply_override(defaults, key, raw) == defaults
 
 
 def test_repository_scenarios_parse():

@@ -45,7 +45,7 @@ def _sample_beacon() -> SecuredBeacon:
     manager = IdentityManager(hsm, rng=Random(6))
     manager.provision(ca, 1, validity_ms=10**6)
     manager.activate_next(0)
-    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always(), suite=suite)
+    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always())
     beacon = Beacon(x=1.5, y=0.0, velocity=30.0, heading=0.0, generation_time=0)
     return bsec.make_beacon(beacon, 0)
 
@@ -57,10 +57,6 @@ PARSERS = {
     "SecuredBeacon.from_wire": (
         SecuredBeacon.from_wire, SecuredBeacon.to_wire, MalformedBeaconError,
         (SECURED_BEACON_LEN, SECURED_BEACON_WITH_CERT_LEN), _SB.to_wire(),
-    ),
-    "SecuredBeacon.from_bytes": (
-        SecuredBeacon.from_bytes, SecuredBeacon.to_bytes, MalformedBeaconError,
-        (SECURED_BEACON_LEN - 2, SECURED_BEACON_WITH_CERT_LEN - 2), _SB.to_bytes(),
     ),
     "CompactCertificate.from_bytes": (
         CompactCertificate.from_bytes, CompactCertificate.to_bytes, MalformedCertificateError,
