@@ -40,8 +40,6 @@ from .identity import (
     CompactCertificate,
     IdentityManager,
     MalformedCertificateError,
-    PseudonymChangeEvent,
-    PseudonymChangePolicy,
     verify_certificate,
 )
 from .suites import pad_signature
@@ -417,6 +415,8 @@ class BeaconSecurity:
         self._queue: deque[_Job] = deque(maxlen=queue_capacity)
         # Before this time the budget stays spent and no queued job can run.
         self._idle_until = 0
+        # the pseudonym active when the layer is built needs no repetitions
+        self._seen = identity.active
         self._beta_remaining = 0
         # counters
         self.beacons_sent = 0
@@ -432,23 +432,23 @@ class BeaconSecurity:
 
     # -- sending ------------------------------------------------------------
 
-    def on_pseudonym_change(self, event: PseudonymChangeEvent) -> None:
-        """Reset the certificate-repetition counter for the fresh identity."""
-        self._beta_remaining = self.strategy.beta
-
-    def change_if_due(self, now: int, policy: PseudonymChangePolicy) -> PseudonymChangeEvent | None:
-        if not self.identity.should_change(now, policy):
-            return None
-        event = self.identity.activate_next(now, policy)
-        self.on_pseudonym_change(event)
-        return event
-
     def make_beacon(self, beacon: Beacon, now: int) -> SecuredBeacon:
         """Sign a beacon under the active pseudonym, attaching the certificate
-        when the omission strategy calls for it."""
-        active = self.identity.active
+        when the omission strategy calls for it.
+
+        The pseudonym changes first if the identity manager's policy says it
+        is due. The first beacon under a pseudonym this layer has not seen
+        arms the beta certificate repetitions.
+        """
+        identity = self.identity
+        if identity.change_due(now):
+            identity.activate_next(now)
+        active = identity.active
         if active is None:
             raise NoActivePseudonymError("no active pseudonym")
+        if active is not self._seen:
+            self._seen = active
+            self._beta_remaining = self.strategy.beta
         attach = decide_attach(self.strategy, self.beacons_sent,
                                self._beta_remaining, self.neighbors.new_since_mark)
         body = beacon.pack()

@@ -301,10 +301,9 @@ def verify_signed_blob(
     public_key: bytes,
     message: bytes,
     blob: SignedBlob,
-    suite: SignatureSuite | None = None,
+    suite: SignatureSuite,
 ) -> bool:
     """Check a timestamped signature. Malformed input verifies as False."""
-    suite = suite if suite is not None else P224Suite()
     return suite.verify(public_key, signed_payload(message, blob.timestamp), blob.signature)
 
 

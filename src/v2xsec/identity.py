@@ -2,10 +2,9 @@
 
 A vehicle holds one long-term identity and a pool of short-term pseudonyms,
 each a key pair living in the HSM plus a compact certificate issued by an
-authority. Beacons are signed under the active pseudonym; a change policy
-decides when to move to the next one, and every change comes with a fresh
-random link-layer address so lower layers cannot be used to re-link the old
-and new identities.
+authority. Beacons are signed under the active pseudonym. The identity
+manager holds the change policy that decides when to move to the next one,
+and revokes the old key when it does.
 
 Certificate wire format (fixed 142 bytes): 1-byte version, 4-byte issuer id,
 8+8-byte validity window (big-endian ms), 57-byte uncompressed subject point,
@@ -17,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from random import Random
 
 from .hsm import Hsm, KeyRole
@@ -36,7 +35,6 @@ CERT_VERSION = 1
 CERT_TBS_LEN = 1 + 4 + 8 + 8 + POINT_LEN
 CERT_WIRE_LEN = CERT_TBS_LEN + SIG_FIELD_LEN
 PSEUDONYM_ID_LEN = 4
-LINK_ADDR_LEN = 6
 
 
 class IdentityError(Exception):
@@ -101,10 +99,9 @@ def verify_certificate(
     cert: CompactCertificate,
     issuer_public_key: bytes,
     now: int,
-    suite: SignatureSuite | None = None,
+    suite: SignatureSuite,
 ) -> bool:
     """Signature plus validity-window check; malformed input is just False."""
-    suite = suite if suite is not None else P224Suite()
     if not (cert.validity_start <= now <= cert.validity_end):
         return False
     if len(cert.subject_public_key) != POINT_LEN:
@@ -149,20 +146,13 @@ class CertificateAuthority:
 # -- pseudonym lifecycle ---------------------------------------------------------
 
 
-class PseudonymState(Enum):
-    PROVISIONED = "provisioned"
-    ACTIVE = "active"
-    RETIRED = "retired"
-
-
 @dataclass
 class Pseudonym:
     key_id: str
     certificate: CompactCertificate
-    state: PseudonymState = PseudonymState.PROVISIONED
     activated_at: int | None = None
     beacons_signed: int = 0
-    # drawn lifetime for this activation; None falls back to the policy max
+    # lifetime drawn from the change policy when activated
     lifetime_ms: int | None = None
     # short id derived from the certificate, which never changes
     pseudonym_id: bytes = field(init=False, repr=False, compare=False)
@@ -176,8 +166,8 @@ class PseudonymChangePolicy:
     """Bounds on how long one pseudonym may stay in use.
 
     A change is blocked before ``min_lifetime_ms`` (link-stability floor) and
-    forced once age reaches ``max_lifetime_ms`` or the beacon count reaches
-    ``max_beacons``.
+    forced once age reaches the lifetime drawn in [min, max] at activation
+    or the beacon count reaches ``max_beacons``.
     """
 
     min_lifetime_ms: int
@@ -191,43 +181,19 @@ class PseudonymChangePolicy:
             raise IdentityError("max_beacons must be at least 1")
 
 
-def should_change(now: int, pseudonym: Pseudonym, policy: PseudonymChangePolicy) -> bool:
-    """Decide whether the active pseudonym must be replaced at time ``now``."""
-    if pseudonym.activated_at is None:
-        return False
-    age = now - pseudonym.activated_at
-    if age < policy.min_lifetime_ms:
-        return False
-    limit = pseudonym.lifetime_ms
-    if limit is None:
-        limit = policy.max_lifetime_ms
-    return age >= limit or pseudonym.beacons_signed >= policy.max_beacons
-
-
-@dataclass(frozen=True)
-class PseudonymChangeEvent:
-    old_pseudonym_id: bytes | None
-    new_pseudonym_id: bytes
-    new_link_address: bytes
-
-
-def _random_link_address(rng: Random) -> bytes:
-    raw = bytearray(rng.randbytes(LINK_ADDR_LEN))
-    raw[0] = (raw[0] | 0x02) & 0xFE  # locally administered, unicast
-    return bytes(raw)
-
-
 class IdentityManager:
-    """Holds a vehicle's pseudonym pool and performs atomic changes."""
+    """Holds a vehicle's pseudonym pool and performs changes under its policy.
 
-    def __init__(self, hsm: Hsm, rng: Random | None = None) -> None:
+    Without a policy the active pseudonym is never due for a change.
+    """
+
+    def __init__(self, hsm: Hsm, rng: Random | None = None,
+                 policy: PseudonymChangePolicy | None = None) -> None:
         self.hsm = hsm
+        self.policy = policy
         self._rng = rng if rng is not None else Random()
-        self._pool: list[Pseudonym] = []
+        self._spares: deque[Pseudonym] = deque()
         self._active: Pseudonym | None = None
-        self._spares = 0
-        self.link_address = _random_link_address(self._rng)
-        self.changes_performed = 0
 
     @property
     def active(self) -> Pseudonym | None:
@@ -235,7 +201,7 @@ class IdentityManager:
 
     @property
     def spare_count(self) -> int:
-        return self._spares
+        return len(self._spares)
 
     def provision(self, ca: CertificateAuthority, count: int,
                   validity_ms: int) -> list[Pseudonym]:
@@ -246,51 +212,39 @@ class IdentityManager:
             key_id, public = self.hsm.generate_key(KeyRole.SHORT_TERM)
             cert = ca.issue(public, now, now + validity_ms)
             fresh.append(Pseudonym(key_id=key_id, certificate=cert))
-        self._pool.extend(fresh)
-        self._spares += len(fresh)
+        self._spares.extend(fresh)
         return fresh
 
-    def activate_next(self, now: int,
-                      policy: PseudonymChangePolicy | None = None) -> PseudonymChangeEvent:
-        """Retire the active pseudonym and switch to the next provisioned one.
+    def change_due(self, now: int) -> bool:
+        """Whether the active pseudonym must be replaced at ``now``.
 
-        The new identity gets a fresh random link address; the two are swapped
-        together so no beacon ever pairs an old address with a new pseudonym.
-        When a policy is given the fresh pseudonym also draws a random
-        lifetime within the policy bounds, so a fleet provisioned at the same
-        moment does not change identities in lockstep (synchronized changes
-        are trivially linkable).
+        Never before the policy's minimum lifetime; after it, once the drawn
+        lifetime is up or ``max_beacons`` beacons are signed, and only while
+        a spare is left.
         """
-        candidate = next(
-            (p for p in self._pool if p.state is PseudonymState.PROVISIONED), None
-        )
-        if candidate is None:
-            raise PoolEmptyError("no provisioned pseudonym available")
-        old_id = None
-        if self._active is not None:
-            self._active.state = PseudonymState.RETIRED
-            old_id = self._active.pseudonym_id
-            self.hsm.revoke_key(self._active.key_id)
-            self.changes_performed += 1
-        candidate.state = PseudonymState.ACTIVE
-        candidate.activated_at = now
-        candidate.beacons_signed = 0
-        if policy is not None:
-            candidate.lifetime_ms = self._rng.randint(
-                policy.min_lifetime_ms, policy.max_lifetime_ms
-            )
-        self._spares -= 1
-        self._active = candidate
-        self.link_address = _random_link_address(self._rng)
-        return PseudonymChangeEvent(
-            old_pseudonym_id=old_id,
-            new_pseudonym_id=candidate.pseudonym_id,
-            new_link_address=self.link_address,
-        )
+        active = self._active
+        policy = self.policy
+        if active is None or policy is None or not self._spares:
+            return False
+        age = now - active.activated_at
+        if age < policy.min_lifetime_ms:
+            return False
+        return age >= active.lifetime_ms or active.beacons_signed >= policy.max_beacons
 
-    def should_change(self, now: int, policy: PseudonymChangePolicy) -> bool:
-        if self._active is None:
-            return False
-        if not should_change(now, self._active, policy):
-            return False
-        return self._spares > 0
+    def activate_next(self, now: int) -> Pseudonym:
+        """Revoke the active pseudonym's key and switch to the next spare.
+
+        Under a policy the new pseudonym draws a random lifetime within its
+        bounds, so a fleet provisioned at the same moment does not change
+        identities in lockstep (synchronized changes are trivially linkable).
+        """
+        if not self._spares:
+            raise PoolEmptyError("no provisioned pseudonym available")
+        if self._active is not None:
+            self.hsm.revoke_key(self._active.key_id)
+        new = self._active = self._spares.popleft()
+        new.activated_at = now
+        policy = self.policy
+        if policy is not None:
+            new.lifetime_ms = self._rng.randint(policy.min_lifetime_ms, policy.max_lifetime_ms)
+        return new

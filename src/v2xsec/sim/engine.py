@@ -53,26 +53,26 @@ from ..beaconing import (
 )
 from ..clocks import VirtualClock
 from ..hsm import Hsm
-from ..identity import (
-    LINK_ADDR_LEN,
-    CertificateAuthority,
-    IdentityManager,
-    PseudonymChangePolicy,
-)
+from ..identity import CertificateAuthority, IdentityManager, PseudonymChangePolicy
 from ..suites import get_suite
 from .metrics import CrashEvent, EmissionRecord, RunMetrics
 from .scenario import ScenarioConfig
 
 # Event kinds in tie-break order: mobility first, then braking state changes,
 # then emissions, deliveries, and finally verification work at the same time.
+# The end of the run follows every other event at its time.
 _K_TICK = 0
 _K_BRAKE_TRIGGER = 1
 _K_BRAKE_START = 2
 _K_EMIT = 3
 _K_DELIVER = 4
 _K_VERIFY = 5
+_K_END = 6
 
 _VERIFY_TICK_MS = 100
+
+# Each frame on the channel starts with the sender's link-layer address.
+LINK_ADDR_LEN = 6
 
 # Beacon payloads at their fixed wire width, so no emission pads them again.
 _PLAIN_PAYLOAD = bytes(8)
@@ -179,7 +179,7 @@ class HighwaySimulation:
         ca = CertificateAuthority(1, suite=self.suite, rng=stream_rng(config.seed, "ca"))
         self.ca = ca
         strategy = _strategy_from_config(config)
-        self.change_policy = PseudonymChangePolicy(
+        policy = PseudonymChangePolicy(
             min_lifetime_ms=round(config.min_lifetime_s * 1000),
             max_lifetime_ms=round(config.max_lifetime_s * 1000),
             max_beacons=config.max_beacons,
@@ -189,7 +189,7 @@ class HighwaySimulation:
             rng = stream_rng(config.seed, f"vehicle:{vid}")
             hsm = Hsm(clock=self.clock, suite=self.suite, rng=rng)
             hsm.install_factory_root(ca.public_key)
-            identity = IdentityManager(hsm, rng=rng)
+            identity = IdentityManager(hsm, rng=rng, policy=policy)
             identity.provision(ca, config.pool_size, validity_ms)
             bsec = BeaconSecurity(
                 hsm,
@@ -204,7 +204,7 @@ class HighwaySimulation:
                 freshness_window_ms=config.freshness_window_ms,
             )
             self.nodes.append(_Node(bsec))
-            bsec.on_pseudonym_change(identity.activate_next(0, self.change_policy))
+            identity.activate_next(0)
         self._security_layers = [n.bsec for n in self.nodes]
         self._rx = [bsec.on_receive for bsec in self._security_layers]
 
@@ -221,22 +221,23 @@ class HighwaySimulation:
 
     def _schedule_initial_events(self) -> None:
         # Periodic events each schedule their successor, which keeps the heap
-        # at about one entry per vehicle.
+        # at about one entry per vehicle. The run stops at the end event, so
+        # nothing after ``duration_ms`` is handled; emissions stop strictly
+        # before it.
         config = self.config
         duration = self.duration_ms
-        if config.mobility_tick_ms <= duration:
-            self._push(config.mobility_tick_ms, _K_TICK, -1, None)
+        self._push(duration, _K_END, -1, None)
+        self._push(config.mobility_tick_ms, _K_TICK, -1, None)
         if config.security_mode != "novc":
             interval = config.beacon_interval_ms
             for vid in range(self.n):
                 phase = (vid * interval) // self.n
-                self._push(phase, _K_EMIT, vid, None)
-            if self.secured and _VERIFY_TICK_MS <= duration:
+                if phase < duration:
+                    self._push(phase, _K_EMIT, vid, None)
+            if self.secured:
                 self._push(_VERIFY_TICK_MS, _K_VERIFY, -1, None)
         if config.braking_enabled:
-            trigger = round(config.trigger_time_s * 1000)
-            if trigger <= duration:
-                self._push(trigger, _K_BRAKE_TRIGGER, -1, None)
+            self._push(round(config.trigger_time_s * 1000), _K_BRAKE_TRIGGER, -1, None)
         self._rebuild_radio()
 
     # -- event machinery -----------------------------------------------------------
@@ -247,8 +248,8 @@ class HighwaySimulation:
     def run(self) -> RunMetrics:
         heap = self._heap
         deliveries = self._deliveries
-        while heap or deliveries:
-            if deliveries and (not heap or deliveries[0] < heap[0]):
+        while True:
+            if deliveries and deliveries[0] < heap[0]:
                 self.now, _, _, _, payload = deliveries.popleft()
                 self._handle_delivery(payload)
                 continue
@@ -262,8 +263,10 @@ class HighwaySimulation:
                 self._handle_tick(time_ms)
             elif kind == _K_BRAKE_START:
                 self._handle_brake_start(vid, time_ms)
-            else:
+            elif kind == _K_BRAKE_TRIGGER:
                 self._handle_brake_trigger(time_ms)
+            else:
+                break
         self._advance_to(self.duration_ms)
         self._finalize()
         return self.metrics
@@ -271,9 +274,7 @@ class HighwaySimulation:
     # -- handlers ---------------------------------------------------------------
 
     def _handle_tick(self, now: int) -> None:
-        next_t = now + self.config.mobility_tick_ms
-        if next_t <= self.duration_ms:
-            self._push(next_t, _K_TICK, -1, None)
+        self._push(now + self.config.mobility_tick_ms, _K_TICK, -1, None)
         self._advance_to(now)
         if self.config.braking_enabled:
             self._sight_check(now)
@@ -310,9 +311,7 @@ class HighwaySimulation:
         if self.secured:
             # The HSMs read this clock only to timestamp signatures.
             self.clock.set(now)
-            bsec = self._security_layers[vid]
-            bsec.change_if_due(now, self.change_policy)
-            sent = bsec.make_beacon(beacon, now)
+            sent = self._security_layers[vid].make_beacon(beacon, now)
             wire = sent.to_wire()
             with_cert = sent.certificate is not None
         else:
@@ -372,8 +371,7 @@ class HighwaySimulation:
             metrics.delivered += heard
 
     def _handle_verify(self, now: int) -> None:
-        if now + _VERIFY_TICK_MS <= self.duration_ms:
-            self._push(now + _VERIFY_TICK_MS, _K_VERIFY, -1, None)
+        self._push(now + _VERIFY_TICK_MS, _K_VERIFY, -1, None)
         maintain = now % 1000 == 0
         for bsec in self._security_layers:
             bsec.verification_step(now)

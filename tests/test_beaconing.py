@@ -45,11 +45,11 @@ def _beacon(now=0, heading=0.0, payload=b""):
 
 
 def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, validity_ms=10**10,
-             **kwargs):
+             policy=None, **kwargs):
     clock = VirtualClock(0)
     hsm = Hsm(clock, suite, Random(seed))
     hsm.install_factory_root(ca.public_key)
-    manager = IdentityManager(hsm, rng=Random(seed + 1))
+    manager = IdentityManager(hsm, rng=Random(seed + 1), policy=policy)
     manager.provision(ca, pool, validity_ms=validity_ms)
     manager.activate_next(0)
     if strategy is None:
@@ -202,14 +202,15 @@ def test_attachment_matches_trace_reference(fast_suite, ca):
                   for _ in range(rng.randint(5, 25))]
 
         sender = _vehicle(fast_suite, ca, seed=1000 + trial,
-                          strategy=_strategy_for(variant, alpha, beta))
+                          strategy=_strategy_for(variant, alpha, beta),
+                          pool=1 + events.count("change"))
         got = []
         now = 0
         fake_pid = 0
         for kind in events:
             now += 100
             if kind == "change":
-                sender.on_pseudonym_change(None)
+                sender.identity.activate_next(now)
             elif kind == "neighbor":
                 fake_pid += 1
                 sender.neighbors.observe(struct.pack(">I", fake_pid), now)
@@ -224,19 +225,39 @@ def test_attachment_matches_trace_reference(fast_suite, ca):
 
 
 def test_beta_repetition_after_change(fast_suite, ca):
-    sender = _vehicle(fast_suite, ca, seed=50,
-                      strategy=OmissionStrategy.neighbor_triggered(beta=3))
-    policy = PseudonymChangePolicy(min_lifetime_ms=1, max_lifetime_ms=10**9,
+    policy = PseudonymChangePolicy(min_lifetime_ms=10**9, max_lifetime_ms=10**9,
                                    max_beacons=10**9)
+    sender = _vehicle(fast_suite, ca, seed=50, policy=policy,
+                      strategy=OmissionStrategy.neighbor_triggered(beta=3))
+    first = sender.identity.active
     attached = [sender.make_beacon(_beacon(t), t).certificate is not None
                 for t in range(0, 500, 100)]
     assert attached == [False] * 5  # no trigger, no certificate
 
-    event = sender.change_if_due(10**9 + 1, policy)
-    assert event is not None
-    attached = [sender.make_beacon(_beacon(0), 0).certificate is not None
-                for _ in range(5)]
-    assert attached == [True, True, True, False, False]
+    # the policy's lifetime is up: the next beacon goes out under a new pseudonym
+    now = 10**9 + 1
+    beacons = [sender.make_beacon(_beacon(now), now) for _ in range(5)]
+    assert sender.identity.active is not first
+    assert {sb.signer_pseudonym_id for sb in beacons} == {sender.identity.active.pseudonym_id}
+    assert [sb.certificate is not None for sb in beacons] == [True, True, True, False, False]
+
+
+def test_beta_arms_for_pseudonyms_activated_after_construction(fast_suite, ca):
+    """The pseudonym active when the layer is built counts as seen; one
+    activated afterwards, as the simulator does, gets beta repetitions."""
+    strategy = OmissionStrategy.neighbor_triggered(beta=2)
+    before = _vehicle(fast_suite, ca, seed=60, strategy=strategy)
+    assert [before.make_beacon(_beacon(t), t).certificate is not None
+            for t in range(3)] == [False, False, False]
+
+    hsm = Hsm(VirtualClock(0), fast_suite, Random(70))
+    hsm.install_factory_root(ca.public_key)
+    manager = IdentityManager(hsm, rng=Random(71))
+    manager.provision(ca, 2, validity_ms=10**10)
+    after = BeaconSecurity(hsm, manager, ca.public_key, strategy)
+    manager.activate_next(0)
+    assert [after.make_beacon(_beacon(t), t).certificate is not None
+            for t in range(3)] == [True, True, False]
 
 
 # -- neighbor table ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from v2xsec.hsm import (
     encrypt_for,
     verify_signed_blob,
 )
+from v2xsec.identity import verify_certificate
 from v2xsec.suites import SIG_FIELD_LEN
 
 from .oracles import pkcs7_ecies_length
@@ -166,6 +167,20 @@ def test_sign_and_timestamp_covers_message_and_time(hsm, clock, fast_suite):
     assert not verify_signed_blob(pub, b"beacon bodY", blob, fast_suite)
     tampered = SignedBlob(timestamp=blob.timestamp + 1, signature=blob.signature)
     assert not verify_signed_blob(pub, b"beacon body", tampered, fast_suite)
+
+
+def test_verifiers_require_a_suite(hsm, ca, fast_suite):
+    """Neither verifier guesses a suite: a default one would reject every
+    genuine ``fast`` blob and certificate as bad."""
+    kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
+    blob = hsm.sign_and_timestamp(kid, b"m")
+    cert = ca.issue(pub, 0, 1000)
+    assert verify_signed_blob(pub, b"m", blob, fast_suite)
+    assert verify_certificate(cert, ca.public_key, 0, fast_suite)
+    with pytest.raises(TypeError):
+        verify_signed_blob(pub, b"m", blob)
+    with pytest.raises(TypeError):
+        verify_certificate(cert, ca.public_key, 0)
 
 
 def test_signed_blob_wire_format(hsm, clock):

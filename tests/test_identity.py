@@ -11,7 +11,6 @@ from v2xsec.clocks import VirtualClock
 from v2xsec.hsm import Hsm
 from v2xsec.identity import (
     CERT_WIRE_LEN,
-    LINK_ADDR_LEN,
     PSEUDONYM_ID_LEN,
     CertificateAuthority,
     CompactCertificate,
@@ -19,10 +18,7 @@ from v2xsec.identity import (
     IdentityManager,
     MalformedCertificateError,
     PoolEmptyError,
-    Pseudonym,
     PseudonymChangePolicy,
-    PseudonymState,
-    should_change,
     verify_certificate,
 )
 
@@ -96,31 +92,28 @@ def test_issue_validates_inputs(ca):
 # -- change policy ---------------------------------------------------------------
 
 
-def _pseudonym(cert, activated_at=None, signed=0, lifetime=None):
-    return Pseudonym(
-        key_id="key-000000",
-        certificate=cert,
-        state=PseudonymState.ACTIVE,
-        activated_at=activated_at,
-        beacons_signed=signed,
-        lifetime_ms=lifetime,
-    )
-
-
-def test_should_change_truth_table(cert):
+def test_should_change_truth_table(fast_suite):
     policy = PseudonymChangePolicy(min_lifetime_ms=1000, max_lifetime_ms=5000, max_beacons=100)
+    manager, _, _ = _manager(fast_suite, policy=policy)
     # never before activation
-    assert not should_change(0, _pseudonym(cert), policy)
+    assert not manager.change_due(0)
+    active = manager.activate_next(0)
+
+    def due(now, signed=0, lifetime=5000):
+        active.beacons_signed = signed
+        active.lifetime_ms = lifetime
+        return manager.change_due(now)
+
     # age below the floor blocks everything, even the beacon cap
-    assert not should_change(999, _pseudonym(cert, activated_at=0, signed=500), policy)
+    assert not due(999, signed=500)
     # between floor and max: only the beacon cap forces a change
-    assert not should_change(3000, _pseudonym(cert, activated_at=0, signed=99), policy)
-    assert should_change(3000, _pseudonym(cert, activated_at=0, signed=100), policy)
+    assert not due(3000, signed=99)
+    assert due(3000, signed=100)
     # reaching max age forces a change regardless of beacons
-    assert should_change(5000, _pseudonym(cert, activated_at=0), policy)
-    # a drawn lifetime overrides the policy maximum
-    assert should_change(2000, _pseudonym(cert, activated_at=0, lifetime=2000), policy)
-    assert not should_change(1999, _pseudonym(cert, activated_at=0, lifetime=2000), policy)
+    assert due(5000)
+    # the drawn lifetime sets the age limit
+    assert due(2000, lifetime=2000)
+    assert not due(1999, lifetime=2000)
 
 
 def test_policy_validation():
@@ -133,12 +126,12 @@ def test_policy_validation():
 # -- identity manager -------------------------------------------------------------
 
 
-def _manager(fast_suite, pool=3):
+def _manager(fast_suite, pool=3, policy=None):
     clock = VirtualClock(0)
     hsm = Hsm(clock=clock, suite=fast_suite, rng=Random(13))
     ca = CertificateAuthority(1, suite=fast_suite, rng=Random(17))
     hsm.install_factory_root(ca.public_key)
-    manager = IdentityManager(hsm, rng=Random(19))
+    manager = IdentityManager(hsm, rng=Random(19), policy=policy)
     manager.provision(ca, pool, validity_ms=10_000_000)
     return manager, hsm, ca
 
@@ -147,39 +140,23 @@ def test_provision_and_activate(fast_suite):
     manager, hsm, ca = _manager(fast_suite)
     assert manager.active is None
     assert manager.spare_count == 3
-    event = manager.activate_next(0)
-    assert event.old_pseudonym_id is None
+    active = manager.activate_next(0)
     assert manager.spare_count == 2
-    active = manager.active
-    assert active is not None and active.state is PseudonymState.ACTIVE
+    assert active is manager.active and active.activated_at == 0
+    assert not any(s.revoked for s in hsm.slots())
     assert verify_certificate(active.certificate, ca.public_key, 0, fast_suite)
 
 
 def test_activation_retires_and_revokes_old_key(fast_suite):
     manager, hsm, _ = _manager(fast_suite)
-    manager.activate_next(0)
-    old = manager.active
-    event = manager.activate_next(100)
-    assert event.old_pseudonym_id == old.pseudonym_id
-    assert old.state is PseudonymState.RETIRED
-    assert manager.changes_performed == 1
+    old = manager.activate_next(0)
+    new = manager.activate_next(100)
+    assert new is manager.active
+    assert new.pseudonym_id != old.pseudonym_id
     revoked = {s.key_id: s.revoked for s in hsm.slots()}
     assert revoked[old.key_id] is True
-    assert revoked[manager.active.key_id] is False
-
-
-def test_link_address_changes_with_pseudonym(fast_suite):
-    manager, _, _ = _manager(fast_suite)
-    seen = set()
-    for t in (0, 10, 20):
-        event = manager.activate_next(t)
-        address = event.new_link_address
-        assert address == manager.link_address
-        assert len(address) == LINK_ADDR_LEN
-        assert address[0] & 0x02  # locally administered
-        assert not address[0] & 0x01  # unicast
-        seen.add(address)
-    assert len(seen) == 3
+    assert revoked[new.key_id] is False
+    assert sum(revoked.values()) == 1
 
 
 def test_pool_exhaustion(fast_suite):
@@ -190,18 +167,21 @@ def test_pool_exhaustion(fast_suite):
 
 
 def test_drawn_lifetimes_stay_inside_policy_bounds(fast_suite):
-    manager, _, ca = _manager(fast_suite, pool=3)
     policy = PseudonymChangePolicy(min_lifetime_ms=2000, max_lifetime_ms=9000, max_beacons=10**6)
+    manager, _, _ = _manager(fast_suite, pool=3, policy=policy)
     for t in (0, 10_000, 20_000):
-        manager.activate_next(t, policy)
-        drawn = manager.active.lifetime_ms
+        drawn = manager.activate_next(t).lifetime_ms
         assert drawn is not None and 2000 <= drawn <= 9000
 
 
 def test_should_change_respects_spares(fast_suite):
-    manager, _, _ = _manager(fast_suite, pool=1)
     policy = PseudonymChangePolicy(min_lifetime_ms=0, max_lifetime_ms=10, max_beacons=10**6)
+    manager, _, _ = _manager(fast_suite, pool=1, policy=policy)
     manager.activate_next(0)
     # change is due by age, but there is nothing left to change into
-    assert manager.active.lifetime_ms is None
-    assert not manager.should_change(50, policy)
+    assert manager.active.lifetime_ms <= 10
+    assert not manager.change_due(50)
+    # with a spare left the same age is due
+    manager, _, _ = _manager(fast_suite, pool=2, policy=policy)
+    manager.activate_next(0)
+    assert manager.change_due(50)

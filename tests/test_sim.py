@@ -443,6 +443,26 @@ def test_values_at_the_ceilings_run():
     assert run_scenario(late).delivered == 0  # every frame lands long stale
 
 
+def test_run_ends_at_duration():
+    """Nothing after ``duration_ms`` is handled: emissions stop strictly
+    before it, and deliveries and brake starts past it never happen."""
+    # phases 0, 1000, ..., 4000 ms: only the one at 0 falls inside a 1 s run
+    sparse = run_scenario(_config(duration_s=1.0, warmup_s=0.0, beacon_interval_ms=5000))
+    assert sparse.beacons_sent == 1
+    late = run_scenario(_config(duration_s=1.0, warmup_s=0.0, propagation_delay_ms=10**15))
+    assert late.beacons_sent > 0 and late.receptions == 0
+    # warned followers would start braking at 32.102 s, after the end
+    sim = HighwaySimulation(_braking(security_mode="unsecured", vehicle_count=5,
+                                     duration_s=31.0, trigger_time_s=30.9))
+    metrics = sim.run()
+    assert sim.kin_time == 31_000
+    # lead: 30 m/s until 30.9 s, then 0.1 s at -8 m/s^2; followers still cruise
+    assert metrics.final_positions[0] == pytest.approx(30 * 31 - 0.5 * 8 * 0.1**2)
+    assert metrics.final_positions[1:] == pytest.approx(
+        [30 * 31 - 25.0 * k for k in range(1, 5)])
+    assert metrics.final_speeds == pytest.approx([29.2, 30.0, 30.0, 30.0, 30.0])
+
+
 def test_scenario_schema_covers_every_field_once(tmp_path):
     defaults = ScenarioConfig()
     keys_of: dict[str, list[tuple[str, str]]] = {}
