@@ -44,9 +44,12 @@ def describe(sb):
     return f"{len(sb.to_wire())}B wire, {cert}"
 
 
-def verdict(disposition):
-    reason = f" ({disposition.reason})" if disposition.reason else ""
-    return disposition.status.name.lower() + reason
+def counters(bsec):
+    """Where every beacon a station has received ended up so far."""
+    return (f"received={bsec.beacons_received} delivered={bsec.delivered_count}"
+            f" queued={bsec.queue_depth} pending={bsec.pending_count}"
+            f" discarded={sum(bsec.discards.values())} evicted={bsec.evicted_jobs}"
+            f" pending_dropped={bsec.pending_dropped}")
 
 
 def main():
@@ -63,36 +66,36 @@ def main():
     print("phase 2: carol pulls into range and hears a certless beacon")
     now = 300
     sb = alice.make_beacon(beacon_at(now, x=0.0), now)
-    d = carol.on_receive(sb, now)
+    carol.on_receive(sb, now)
     print(f"  t={now:4d}  carol <- alice  {describe(sb)}")
-    print(f"          carol: {verdict(d)}, pending={carol.pending_count}")
+    print(f"          carol: {counters(carol)}")
 
     print("phase 3: hearing alice tripped carol's trigger, she introduces"
           " herself with her certificate")
     now = 350
     sb = carol.make_beacon(beacon_at(now, x=12.0), now)
-    d = alice.on_receive(sb, now)
+    alice.on_receive(sb, now)
     print(f"  t={now:4d}  alice <- carol  {describe(sb)}")
-    print(f"          alice: {verdict(d)}, pending={alice.pending_count}")
+    print(f"          alice: {counters(alice)}")
 
     print("phase 4: alice heard someone new too and re-attaches hers")
     now = 400
     sb = alice.make_beacon(beacon_at(now, x=1.1), now)
-    d = carol.on_receive(sb, now)
+    carol.on_receive(sb, now)
     print(f"  t={now:4d}  carol <- alice  {describe(sb)}")
-    print(f"          carol: {verdict(d)}, pending={carol.pending_count}"
-          " (buffered beacon released too)")
+    print(f"          carol: {counters(carol)} (buffered beacon released too)")
     now = 450
     sb = carol.make_beacon(beacon_at(now, x=13.2), now)
-    d = alice.on_receive(sb, now)
+    alice.on_receive(sb, now)
     print(f"  t={now:4d}  alice <- carol  {describe(sb)}")
-    print(f"          alice: {verdict(d)}, pending={alice.pending_count}")
+    print(f"          alice: {counters(alice)}")
 
     print("phase 5: steady state, certificates stay omitted again")
     for now in (500, 600):
         sb = alice.make_beacon(beacon_at(now, x=2.0), now)
-        d = carol.on_receive(sb, now)
-        print(f"  t={now:4d}  carol <- alice  {describe(sb)}, carol: {verdict(d)}")
+        carol.on_receive(sb, now)
+        print(f"  t={now:4d}  carol <- alice  {describe(sb)}")
+        print(f"          carol: {counters(carol)}")
 
     print()
     print(f"deliveries to the applications ({len(delivered)} total):")

@@ -19,6 +19,10 @@ table is the only per-neighbor state: an entry holds the verified key, the
 beacons awaiting a certificate, and the first-beacon time that time to trust
 runs from.
 
+A beacon's fate is usually settled in a later drain of the queue, not in the
+call that received it, so receive calls return nothing: the receiver's
+counters and its delivery callback account for every beacon.
+
 Wire format of a secured beacon, byte offsets in brackets: 2-byte type tag
 [0], 4-byte pseudonym id [2], 40-byte beacon body [6], 8-byte signature
 timestamp [46], 64-byte padded signature [54], 1-byte certificate flag [118],
@@ -341,35 +345,6 @@ class VerificationBudget:
 _Job = tuple[SecuredBeacon, bytes | None, int]
 
 
-# -- receive dispositions ----------------------------------------------------------
-
-
-class ReceiveStatus(Enum):
-    DELIVERED = "delivered"
-    PENDING = "pending"
-    DISCARDED = "discarded"
-
-
-@dataclass(frozen=True)
-class ReceiveDisposition:
-    status: ReceiveStatus
-    reason: str | None = None
-
-
-DELIVERED = ReceiveDisposition(ReceiveStatus.DELIVERED)
-PENDING_QUEUED = ReceiveDisposition(ReceiveStatus.PENDING, "queued")
-PENDING_AWAITING_CERT = ReceiveDisposition(ReceiveStatus.PENDING, "awaiting_certificate")
-DISCARD_STALE = ReceiveDisposition(ReceiveStatus.DISCARDED, "stale")
-DISCARD_BAD_SIGNATURE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_signature")
-DISCARD_BAD_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED, "bad_certificate")
-DISCARD_EXPIRED_CERTIFICATE = ReceiveDisposition(ReceiveStatus.DISCARDED,
-                                                 "expired_certificate")
-
-
-def discard_malformed(detail: str) -> ReceiveDisposition:
-    return ReceiveDisposition(ReceiveStatus.DISCARDED, f"malformed: {detail}")
-
-
 DeliverCallback = Callable[[SecuredBeacon, int], None]
 
 
@@ -384,6 +359,13 @@ class BeaconSecurity:
     through the ``deliver`` callback, and only for beacons whose signature
     chain has fully verified (the trust gate). Certificates and signatures
     are checked with the HSM's own signature suite.
+
+    Receive calls return None; what became of each beacon is in the
+    counters. ``beacons_received`` always equals ``delivered_count`` plus
+    the ``discards`` (keyed by reason: ``stale``, ``bad_signature``,
+    ``bad_certificate``, ``expired_certificate``, ``malformed: <detail>``),
+    ``evicted_jobs``, ``pending_dropped``, ``queue_depth`` and
+    ``pending_count``.
     """
 
     def __init__(
@@ -466,26 +448,29 @@ class BeaconSecurity:
 
     # -- receiving -----------------------------------------------------------
 
-    def receive_wire(self, data: bytes, now: int) -> ReceiveDisposition:
+    def receive_wire(self, data: bytes, now: int) -> None:
         try:
             sb = SecuredBeacon.from_wire(data)
         except MalformedBeaconError as exc:
             self.beacons_received += 1
-            return self._discard(discard_malformed(str(exc)))
-        return self.on_receive(sb, now)
+            self._discard(f"malformed: {exc}")
+        else:
+            self.on_receive(sb, now)
 
-    def on_receive(self, sb: SecuredBeacon, now: int) -> ReceiveDisposition:
+    def on_receive(self, sb: SecuredBeacon, now: int) -> None:
         """Classify one received beacon and queue its verification work."""
         self.beacons_received += 1
         beacon = sb.beacon
         delta = now - beacon.generation_time
         window = self.freshness_window_ms
         if delta > window or -delta > window:
-            return self._discard(DISCARD_STALE)
+            self._discard("stale")
+            return
         entry = self.neighbors.observe(sb.signer_pseudonym_id, now)
         if entry.verified:
             if now > entry.validity_end:
-                return self._discard(DISCARD_EXPIRED_CERTIFICATE)
+                self._discard("expired_certificate")
+                return
             job = (sb, entry.public_key, entry.validity_end)
         elif sb.certificate is not None:
             job = (sb, None, 0)
@@ -496,25 +481,21 @@ class BeaconSecurity:
             elif len(held) == self.pending_capacity:
                 self.pending_dropped += 1  # the append drops the oldest
             held.append(sb)
-            return PENDING_AWAITING_CERT
+            return
         self._enqueue(job)
-        if now < self._idle_until:
-            return PENDING_QUEUED
-        return self._drain(now, job)
+        if now >= self._idle_until:
+            self._drain(now)
 
     def verification_step(self, now: int) -> None:
         """Spend whatever budget is available on the queue head."""
         if self._queue and now >= self._idle_until:
             self._drain(now)
 
-    def neighbor_maintenance(self, now: int) -> list[bytes]:
-        """Expire silent neighbors, dropping the beacons they held; returns
-        the expired pseudonym ids."""
-        expired = self.neighbors.sweep(now)
-        for entry in expired:
+    def neighbor_maintenance(self, now: int) -> None:
+        """Expire silent neighbors, dropping the beacons they held."""
+        for entry in self.neighbors.sweep(now):
             if entry.held:
                 self.pending_dropped += len(entry.held)
-        return [entry.pseudonym_id for entry in expired]
 
     @property
     def units_used(self) -> int:
@@ -530,61 +511,53 @@ class BeaconSecurity:
 
     # -- internals --------------------------------------------------------------
 
-    def _discard(self, disposition: ReceiveDisposition) -> ReceiveDisposition:
-        reason = disposition.reason or "other"
+    def _discard(self, reason: str) -> None:
         self.discards[reason] = self.discards.get(reason, 0) + 1
-        return disposition
 
     def _enqueue(self, job: _Job) -> None:
         if len(self._queue) == self.queue_capacity:
             self.evicted_jobs += 1  # the append drops the oldest job
         self._queue.append(job)
 
-    def _drain(self, now: int, job: _Job | None = None) -> ReceiveDisposition:
+    def _drain(self, now: int) -> None:
         """Verify from the queue head while the budget lasts.
 
-        Returns how ``job`` fared if it left the queue during this drain, and
-        ``PENDING_QUEUED`` otherwise. A job that went stale while it waited,
-        or whose cached key's certificate expired, is discarded without a
-        curve operation but is still charged its units, so the queue drains
-        at the rate the budget sets. All units spent here carry the same
-        timestamp, so they are charged to the budget in one entry at the end.
-        A drain that uses up the budget records when it refills; no drain
-        before then could verify anything, so callers skip it.
+        Each job's fate lands in the counters and, when it verifies, in the
+        delivery callback. A job that went stale while it waited, or whose
+        cached key's certificate expired, is discarded without a curve
+        operation but is still charged its units, so the queue drains at the
+        rate the budget sets. All units spent here carry the same timestamp,
+        so they are charged to the budget in one entry at the end. A drain
+        that uses up the budget records when it refills; no drain before then
+        could verify anything, so callers skip it.
         """
         queue = self._queue
         budget = self.budget
         left = start = budget.available(now)
-        outcome = PENDING_QUEUED
         verify = self.suite.verify
         deliver = self.deliver
         window = self.freshness_window_ms
         while left > 0 and queue:
-            head = queue.popleft()
-            sb, public_key, validity_end = head
+            sb, public_key, validity_end = queue[0]
             if public_key is None and left < 2:
-                queue.appendleft(head)
                 break
+            queue.popleft()
             delta = now - sb.beacon.generation_time
             if delta > window or -delta > window:
-                result = self._discard(DISCARD_STALE)
+                self._discard("stale")
                 left -= 2 if public_key is None else 1
             elif public_key is None:
-                result = self._verify_first_contact(sb, now)
-                left -= 1 if result is DISCARD_BAD_CERTIFICATE else 2
+                left -= self._verify_first_contact(sb, now)
             else:
                 left -= 1
                 if now > validity_end:
-                    result = self._discard(DISCARD_EXPIRED_CERTIFICATE)
+                    self._discard("expired_certificate")
                 elif verify(public_key, sb.signed_payload, sb.blob.signature):
-                    result = DELIVERED
                     self.delivered_count += 1
                     if deliver is not None:
                         deliver(sb, now)
                 else:
-                    result = self._discard(DISCARD_BAD_SIGNATURE)
-            if head is job:
-                outcome = result
+                    self._discard("bad_signature")
         spent = start - left
         if spent:
             budget.consume(now, spent)
@@ -593,10 +566,10 @@ class BeaconSecurity:
             by_second[second] = by_second.get(second, 0) + spent
         if left <= 0:
             self._idle_until = budget.refill_time()
-        return outcome
 
-    def _verify_first_contact(self, sb: SecuredBeacon, now: int) -> ReceiveDisposition:
-        """Check the attached certificate, then the signature under its key.
+    def _verify_first_contact(self, sb: SecuredBeacon, now: int) -> int:
+        """Check the attached certificate, then the signature under its key,
+        and return the units spent.
 
         The certificate must also be the one the claimed pseudonym id names,
         since the signature does not cover the id. A bad certificate costs one
@@ -610,10 +583,12 @@ class BeaconSecurity:
         pid = sb.signer_pseudonym_id
         if pid != cert.pseudonym_id() or not verify_certificate(
                 cert, self.issuer_public_key, now, self.suite):
-            return self._discard(DISCARD_BAD_CERTIFICATE)
+            self._discard("bad_certificate")
+            return 1
         public_key = cert.subject_public_key
         if not self.suite.verify(public_key, sb.signed_payload, sb.blob.signature):
-            return self._discard(DISCARD_BAD_SIGNATURE)
+            self._discard("bad_signature")
+            return 2
         entry = self.neighbors.get(pid)
         held = None
         if entry is not None:
@@ -631,7 +606,7 @@ class BeaconSecurity:
             for waiting in held:
                 delta = now - waiting.beacon.generation_time
                 if delta > window or -delta > window:
-                    self._discard(DISCARD_STALE)
+                    self._discard("stale")
                 else:
                     self._enqueue((waiting, public_key, cert.validity_end))
-        return DELIVERED
+        return 2

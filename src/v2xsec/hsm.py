@@ -320,11 +320,11 @@ def _derive_keys(shared_secret: bytes) -> tuple[bytes, bytes]:
 def encrypt_for(
     public_key: bytes,
     plaintext: bytes,
-    suite: SignatureSuite | None = None,
+    suite: SignatureSuite,
     rng: Random | None = None,
 ) -> bytes:
-    """Seal ``plaintext`` to the holder of ``public_key`` (ECIES)."""
-    suite = suite if suite is not None else P224Suite()
+    """Seal ``plaintext`` to the holder of ``public_key`` (ECIES) under
+    ``suite``, the one that made the key."""
     eph_pub, shared = suite.ecdh_sender(public_key, rng)
     aes_key, mac_key = _derive_keys(shared)
     iv = rng.randbytes(_ECIES_IV_LEN) if rng is not None else os.urandom(_ECIES_IV_LEN)

@@ -122,8 +122,6 @@ class HighwaySimulation:
             beta=config.beta,
             beacon_interval_ms=config.beacon_interval_ms,
             vehicle_count=config.vehicle_count,
-            duration_s=config.duration_s,
-            warmup_ms=config.warmup_ms,
         )
         if config.record_trace:
             self.metrics.trace = []
@@ -177,7 +175,6 @@ class HighwaySimulation:
     def _build_secured_nodes(self) -> None:
         config = self.config
         ca = CertificateAuthority(1, suite=self.suite, rng=stream_rng(config.seed, "ca"))
-        self.ca = ca
         strategy = _strategy_from_config(config)
         policy = PseudonymChangePolicy(
             min_lifetime_ms=round(config.min_lifetime_s * 1000),

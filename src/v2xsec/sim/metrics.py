@@ -60,8 +60,6 @@ class RunMetrics:
     beta: int
     beacon_interval_ms: int
     vehicle_count: int
-    duration_s: float
-    warmup_ms: int
     # beaconing overhead
     beacons_sent: int = 0
     beacons_sent_post_warmup: int = 0

@@ -20,7 +20,6 @@ from v2xsec.beaconing import (
     NeighborTable,
     NoActivePseudonymError,
     OmissionStrategy,
-    ReceiveStatus,
     SecuredBeacon,
     VerificationBudget,
     decide_attach,
@@ -56,6 +55,15 @@ def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, validity_ms=1
         strategy = OmissionStrategy.always()
     return BeaconSecurity(hsm, manager, ca.public_key, strategy,
                           deliver=deliver, **kwargs)
+
+
+def _assert_funnel(bsec):
+    """Every received beacon is in exactly one place: delivered, discarded
+    under a reason, evicted, dropped from a pending buffer, or still queued
+    or pending."""
+    assert bsec.beacons_received == (
+        bsec.delivered_count + sum(bsec.discards.values()) + bsec.evicted_jobs
+        + bsec.pending_dropped + bsec.queue_depth + bsec.pending_count)
 
 
 @pytest.fixture
@@ -333,14 +341,17 @@ def test_first_contact_waits_for_two_units_at_queue_head(sender, fast_suite, ca)
     and everything behind it waits too (FIFO), until the window slides."""
     receiver = _vehicle(fast_suite, ca, seed=305, budget_per_second=3)
     other = _vehicle(fast_suite, ca, seed=306)
-    assert receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0).status \
-        is ReceiveStatus.DELIVERED  # 2 of 3 units spent
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)
+    assert receiver.delivered_count == 1  # 2 of 3 units spent
     stranger = other.make_beacon(_beacon(10), 10)  # carries its certificate
-    assert receiver.on_receive(stranger, 10).status is ReceiveStatus.PENDING
+    receiver.on_receive(stranger, 10)
+    assert receiver.queue_depth == 1
     sender.strategy = OmissionStrategy.neighbor_triggered()
     known = sender.make_beacon(_beacon(20), 20)
-    assert receiver.on_receive(known, 20).status is ReceiveStatus.PENDING
+    receiver.on_receive(known, 20)
     assert receiver.queue_depth == 2 and receiver.units_used == 2
+    assert receiver.delivered_count == 1
+    _assert_funnel(receiver)
 
     receiver.verification_step(999)  # one unit left: the head still waits
     assert receiver.queue_depth == 2
@@ -349,6 +360,7 @@ def test_first_contact_waits_for_two_units_at_queue_head(sender, fast_suite, ca)
     assert receiver.delivered_count == 3
     assert receiver.units_used == 5
     assert receiver.units_by_second == {0: 2, 1: 3}
+    _assert_funnel(receiver)
 
 
 # -- receive pipeline ---------------------------------------------------------------
@@ -356,12 +368,13 @@ def test_first_contact_waits_for_two_units_at_queue_head(sender, fast_suite, ca)
 
 def test_first_contact_with_certificate_delivers(sender, receiver):
     sb = sender.make_beacon(_beacon(), 0)
-    result = receiver.on_receive(sb, 10)
-    assert result.status is ReceiveStatus.DELIVERED
+    receiver.on_receive(sb, 10)
+    assert receiver.delivered_count == 1
     assert receiver.delivered_log == [(sb, 10)]
     assert receiver.units_used == 2  # certificate check + signature check
     entry = receiver.neighbors.get(sb.signer_pseudonym_id)
     assert entry.verified and entry.public_key is not None
+    _assert_funnel(receiver)
 
 
 def test_known_neighbor_costs_one_unit(sender, receiver):
@@ -369,28 +382,29 @@ def test_known_neighbor_costs_one_unit(sender, receiver):
     sender.strategy = OmissionStrategy.neighbor_triggered()
     sb = sender.make_beacon(_beacon(100), 100)
     assert sb.certificate is None
-    result = receiver.on_receive(sb, 100)
-    assert result.status is ReceiveStatus.DELIVERED
+    receiver.on_receive(sb, 100)
+    assert receiver.delivered_count == 2
     assert receiver.units_used == 3  # 2 for first contact, 1 for the follow-up
+    _assert_funnel(receiver)
 
 
 def test_certless_first_contact_waits_then_releases(sender, receiver):
     sender.strategy = OmissionStrategy.neighbor_triggered()
     early = [sender.make_beacon(_beacon(t), t) for t in (0, 100)]
-    for sb, t in zip(early, (0, 100)):
-        result = receiver.on_receive(sb, t)
-        assert result.status is ReceiveStatus.PENDING
-        assert result.reason == "awaiting_certificate"
+    for held, (sb, t) in enumerate(zip(early, (0, 100)), start=1):
+        receiver.on_receive(sb, t)
+        assert receiver.pending_count == held and receiver.queue_depth == 0
     assert receiver.delivered_count == 0  # trust gate holds
-    assert receiver.pending_count == 2
+    _assert_funnel(receiver)
 
     sender.strategy = OmissionStrategy.always()
     with_cert = sender.make_beacon(_beacon(200), 200)
-    result = receiver.on_receive(with_cert, 200)
-    assert result.status is ReceiveStatus.DELIVERED
+    receiver.on_receive(with_cert, 200)
     # the held beacons verify right behind the certificate beacon
     assert receiver.pending_count == 0
     assert [sb for sb, _ in receiver.delivered_log] == [with_cert] + early
+    assert receiver.delivered_count == 3
+    _assert_funnel(receiver)
 
 
 def test_held_beacons_go_stale_while_awaiting_certificate(sender, receiver):
@@ -399,33 +413,36 @@ def test_held_beacons_go_stale_while_awaiting_certificate(sender, receiver):
     without spending a unit."""
     sender.strategy = OmissionStrategy.neighbor_triggered()
     held = sender.make_beacon(_beacon(0), 0)
-    assert receiver.on_receive(held, 0).reason == "awaiting_certificate"
+    receiver.on_receive(held, 0)
+    assert receiver.pending_count == 1 and receiver.queue_depth == 0
 
     sender.strategy = OmissionStrategy.always()
     with_cert = sender.make_beacon(_beacon(2500), 2500)
-    assert receiver.on_receive(with_cert, 2500).status is ReceiveStatus.DELIVERED
+    receiver.on_receive(with_cert, 2500)
     assert [sb for sb, _ in receiver.delivered_log] == [with_cert]
     assert receiver.discards == {"stale": 1}
     assert receiver.queue_depth == 0 and receiver.pending_count == 0
     assert receiver.units_used == 2  # the certificate beacon's first contact only
+    _assert_funnel(receiver)
 
 
 def test_cached_key_ends_with_certificate_validity(fast_suite, ca, receiver):
     """A verified neighbour's cached key is trusted only while its
     certificate is valid; afterwards its beacons are discarded unverified."""
     sender = _vehicle(fast_suite, ca, seed=101, validity_ms=1000)
-    assert receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0).status \
-        is ReceiveStatus.DELIVERED
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)
+    assert receiver.delivered_count == 1
     sender.strategy = OmissionStrategy.neighbor_triggered()
     last_valid = sender.make_beacon(_beacon(1000), 1000)
-    assert receiver.on_receive(last_valid, 1000).status is ReceiveStatus.DELIVERED
+    receiver.on_receive(last_valid, 1000)
+    assert receiver.delivered_count == 2
     expired = sender.make_beacon(_beacon(5001), 5001)
     assert expired.certificate is None
-    result = receiver.on_receive(expired, 5001)
-    assert result.status is ReceiveStatus.DISCARDED
-    assert result.reason == "expired_certificate"
+    receiver.on_receive(expired, 5001)
+    assert receiver.discards == {"expired_certificate": 1}
     assert receiver.delivered_count == 2
     assert receiver.units_used == 3  # 2 for first contact, 1 at t=1000, none after
+    _assert_funnel(receiver)
 
 
 def test_pending_bucket_is_bounded(sender, fast_suite, ca):
@@ -438,6 +455,7 @@ def test_pending_bucket_is_bounded(sender, fast_suite, ca):
     # the sender's neighbor entry holds the newest two
     entry = receiver.neighbors.get(sender.identity.active.pseudonym_id)
     assert [sb.beacon.generation_time for sb in entry.held] == [100, 200]
+    _assert_funnel(receiver)
 
 
 def test_neighbor_expiry_drops_pending(sender, fast_suite, ca):
@@ -445,23 +463,23 @@ def test_neighbor_expiry_drops_pending(sender, fast_suite, ca):
     sender.strategy = OmissionStrategy.neighbor_triggered()
     receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)
     assert receiver.pending_count == 1
-    assert receiver.neighbor_maintenance(1000) == []  # still within expiry
-    expired = receiver.neighbor_maintenance(1001)
-    assert len(expired) == 1
+    receiver.neighbor_maintenance(1000)  # still within expiry
+    assert len(receiver.neighbors) == 1 and receiver.pending_count == 1
+    receiver.neighbor_maintenance(1001)
+    assert len(receiver.neighbors) == 0
     assert receiver.pending_count == 0
     assert receiver.pending_dropped == 1
+    _assert_funnel(receiver)
 
 
 def test_freshness_window_is_inclusive(sender, receiver):
     for skew, fresh in ((1000, True), (1001, False), (-1000, True), (-1001, False)):
         sb = sender.make_beacon(_beacon(now=5000), 5000)
-        result = receiver.on_receive(sb, 5000 + skew)
-        expected = ReceiveStatus.DISCARDED if not fresh else None
-        if fresh:
-            assert result.status is not ReceiveStatus.DISCARDED, skew
-        else:
-            assert result.status is expected and result.reason == "stale"
-    assert receiver.discards.get("stale") == 2
+        discarded = sum(receiver.discards.values())
+        receiver.on_receive(sb, 5000 + skew)
+        assert sum(receiver.discards.values()) == discarded + (not fresh), skew
+    assert receiver.discards == {"stale": 2}
+    _assert_funnel(receiver)
 
 
 def test_bad_signature_is_discarded_not_delivered(sender, receiver):
@@ -472,10 +490,10 @@ def test_bad_signature_is_discarded_not_delivered(sender, receiver):
     blob = sender.make_beacon(_beacon(100), 100).blob
     lying = SecuredBeacon(tampered, sb.signer_pseudonym_id, blob, None,
                           signed_payload(tampered.pack(), blob.timestamp))
-    result = receiver.on_receive(lying, 100)
-    assert result.status is ReceiveStatus.DISCARDED
-    assert result.reason == "bad_signature"
+    receiver.on_receive(lying, 100)
+    assert receiver.discards == {"bad_signature": 1}
     assert receiver.delivered_count == 1
+    _assert_funnel(receiver)
 
 
 def test_bad_certificate_is_discarded(sender, receiver, fast_suite):
@@ -485,11 +503,11 @@ def test_bad_certificate_is_discarded(sender, receiver, fast_suite):
     rogue_cert = rogue_ca.issue(sb.certificate.subject_public_key, 0, 10**10)
     rogue = SecuredBeacon(sb.beacon, sb.signer_pseudonym_id, sb.blob, rogue_cert,
                           sb.signed_payload)
-    result = receiver.on_receive(rogue, 0)
-    assert result.status is ReceiveStatus.DISCARDED
-    assert result.reason == "bad_certificate"
+    receiver.on_receive(rogue, 0)
+    assert receiver.discards == {"bad_certificate": 1}
     assert receiver.units_used == 1  # failed cert check never spends the second unit
     assert receiver.delivered_count == 0
+    _assert_funnel(receiver)
 
 
 def test_claimed_pseudonym_id_must_match_certificate(sender, receiver, fast_suite, ca):
@@ -500,39 +518,43 @@ def test_claimed_pseudonym_id_must_match_certificate(sender, receiver, fast_suit
     own = attacker.make_beacon(_beacon(0), 0)
     hijack = SecuredBeacon(own.beacon, victim_pid, own.blob, own.certificate,
                            own.signed_payload)
-    result = receiver.on_receive(hijack, 0)
-    assert result.status is ReceiveStatus.DISCARDED
-    assert result.reason == "bad_certificate"
+    receiver.on_receive(hijack, 0)
+    assert receiver.discards == {"bad_certificate": 1}
     assert receiver.units_used == 1
     assert receiver.delivered_count == 0
 
     genuine = sender.make_beacon(_beacon(100), 100)
-    assert receiver.on_receive(genuine, 100).status is ReceiveStatus.DELIVERED
+    receiver.on_receive(genuine, 100)
+    assert receiver.delivered_count == 1
     sender.strategy = OmissionStrategy.neighbor_triggered()
     later = sender.make_beacon(_beacon(200), 200)
     assert later.certificate is None
-    assert receiver.on_receive(later, 200).status is ReceiveStatus.DELIVERED
+    receiver.on_receive(later, 200)
+    assert receiver.delivered_count == 2
     assert [(sb.signer_pseudonym_id, now) for sb, now in receiver.delivered_log] == [
         (victim_pid, 100), (victim_pid, 200)]
+    _assert_funnel(receiver)
 
 
 def test_budget_exhaustion_queues_then_verifies(sender, fast_suite, ca):
     receiver = _vehicle(fast_suite, ca, seed=303, budget_per_second=2)
     first = sender.make_beacon(_beacon(0), 0)
-    assert receiver.on_receive(first, 0).status is ReceiveStatus.DELIVERED  # spends 2
+    receiver.on_receive(first, 0)
+    assert receiver.delivered_count == 1  # spends 2
 
     sender.strategy = OmissionStrategy.neighbor_triggered()
     second = sender.make_beacon(_beacon(100), 100)
-    result = receiver.on_receive(second, 100)
-    assert result.status is ReceiveStatus.PENDING and result.reason == "queued"
+    receiver.on_receive(second, 100)
     assert receiver.queue_depth == 1
     assert receiver.delivered_count == 1
+    _assert_funnel(receiver)
 
     receiver.verification_step(999)  # budget still exhausted
     assert receiver.queue_depth == 1
     receiver.verification_step(1000)  # window slides, budget restored
     assert receiver.queue_depth == 0
     assert receiver.delivered_count == 2
+    _assert_funnel(receiver)
 
 
 def test_queue_eviction_drops_oldest(sender, fast_suite, ca):
@@ -552,6 +574,7 @@ def test_queue_eviction_drops_oldest(sender, fast_suite, ca):
     # the first queued beacon was evicted; the two younger ones delivered
     delivered_times = [sb.beacon.generation_time for sb, _ in log]
     assert delivered_times == [0, 20, 30]
+    _assert_funnel(receiver)
 
 
 def test_queued_job_checks_certificate_validity_at_dequeue(fast_suite, ca):
@@ -559,28 +582,32 @@ def test_queued_job_checks_certificate_validity_at_dequeue(fast_suite, ca):
     if the certificate has expired by the time the job reaches the head."""
     sender = _vehicle(fast_suite, ca, seed=102, validity_ms=1000)
     receiver = _vehicle(fast_suite, ca, seed=310, budget_per_second=2)
-    assert receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100).status \
-        is ReceiveStatus.DELIVERED  # spends the budget until t=1100
+    receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100)
+    assert receiver.delivered_count == 1  # spends the budget until t=1100
     sender.strategy = OmissionStrategy.neighbor_triggered()
     late = sender.make_beacon(_beacon(900), 900)
-    assert receiver.on_receive(late, 900).reason == "queued"
+    receiver.on_receive(late, 900)
+    assert receiver.queue_depth == 1
     receiver.verification_step(1100)
     assert receiver.delivered_count == 1
     assert receiver.discards == {"expired_certificate": 1}
     assert receiver.queue_depth == 0
     assert receiver.units_used == 3  # the discarded job is still charged its unit
+    _assert_funnel(receiver)
 
 
 def test_stale_known_key_job_is_discarded_at_dequeue(sender, fast_suite, ca):
     receiver = _vehicle(fast_suite, ca, seed=311, budget_per_second=2)
     receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)  # exhausts budget
     sender.strategy = OmissionStrategy.neighbor_triggered()
-    assert receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100).reason == "queued"
+    receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100)
+    assert receiver.queue_depth == 1
     receiver.verification_step(1200)  # 1100 ms after generation
     assert receiver.delivered_count == 1
     assert receiver.discards == {"stale": 1}
     assert receiver.queue_depth == 0
     assert receiver.units_by_second == {0: 2, 1: 1}
+    _assert_funnel(receiver)
 
 
 def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca):
@@ -590,13 +617,15 @@ def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca)
     other = _vehicle(fast_suite, ca, seed=313)
     receiver.on_receive(other.make_beacon(_beacon(0), 0), 0)  # exhausts budget
     first = sender.make_beacon(_beacon(100), 100)
-    assert receiver.on_receive(first, 100).reason == "queued"
+    receiver.on_receive(first, 100)
+    assert receiver.queue_depth == 1
     receiver.verification_step(1200)
     assert receiver.delivered_count == 1
     assert receiver.discards == {"stale": 1}
     assert not receiver.neighbors.get(first.signer_pseudonym_id).verified
     assert receiver.time_to_trust_ms == [0]  # the other vehicle's only
     assert receiver.units_by_second == {0: 2, 1: 2}  # charged both units
+    _assert_funnel(receiver)
 
 
 def test_time_to_trust_runs_from_first_beacon_to_verified_certificate(sender, fast_suite, ca):
@@ -604,34 +633,39 @@ def test_time_to_trust_runs_from_first_beacon_to_verified_certificate(sender, fa
     verifies; a later first-contact job for the same pseudonym adds none."""
     receiver = _vehicle(fast_suite, ca, seed=314, budget_per_second=4)
     sender.strategy = OmissionStrategy.neighbor_triggered()
-    assert receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0).reason \
-        == "awaiting_certificate"
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)
+    assert receiver.pending_count == 1
     sender.strategy = OmissionStrategy.always()
-    assert receiver.on_receive(sender.make_beacon(_beacon(300), 300), 300).status \
-        is ReceiveStatus.DELIVERED  # and the held beacon behind it: 3 of 4 units
+    receiver.on_receive(sender.make_beacon(_beacon(300), 300), 300)
+    # the certificate beacon and the held beacon behind it: 3 of 4 units
+    assert receiver.delivered_count == 2 and receiver.units_used == 3
     assert receiver.time_to_trust_ms == [300]
 
     # two certificate beacons wait at the head for two units; both verify
     # their certificate, only the first makes the entry trusted
     other = _vehicle(fast_suite, ca, seed=315)
-    for t in (400, 500):
-        assert receiver.on_receive(other.make_beacon(_beacon(t), t), t).reason == "queued"
+    for queued, t in enumerate((400, 500), start=1):
+        receiver.on_receive(other.make_beacon(_beacon(t), t), t)
+        assert receiver.queue_depth == queued
     receiver.verification_step(1300)
     assert receiver.queue_depth == 0 and receiver.delivered_count == 4
     assert receiver.time_to_trust_ms == [300, 900]
+    _assert_funnel(receiver)
 
 
 def test_receive_wire_counts_malformed(receiver):
-    result = receiver.receive_wire(b"\x0b\x01garbage", 0)
-    assert result.status is ReceiveStatus.DISCARDED
-    assert result.reason.startswith("malformed")
+    receiver.receive_wire(b"\x0b\x01garbage", 0)
     assert receiver.beacons_received == 1
-    assert sum(v for k, v in receiver.discards.items() if k.startswith("malformed")) == 1
+    [(reason, count)] = receiver.discards.items()
+    assert reason.startswith("malformed: ") and count == 1
+    _assert_funnel(receiver)
 
 
 def test_receive_wire_roundtrip(sender, receiver):
     sb = sender.make_beacon(_beacon(), 0)
-    assert receiver.receive_wire(sb.to_wire(), 0).status is ReceiveStatus.DELIVERED
+    assert receiver.receive_wire(sb.to_wire(), 0) is None  # the fate is counted
+    assert receiver.delivered_log == [(sb, 0)]
+    _assert_funnel(receiver)
 
 
 def test_station_verifies_with_its_hsm_suite(sender, receiver, fast_suite):
@@ -639,7 +673,8 @@ def test_station_verifies_with_its_hsm_suite(sender, receiver, fast_suite):
     # fast-suite HSM must verify with that suite, not fall back to P-224.
     assert receiver.suite is fast_suite
     sb = sender.make_beacon(_beacon(), 0)
-    assert receiver.receive_wire(sb.to_wire(), 0).status is ReceiveStatus.DELIVERED
+    receiver.receive_wire(sb.to_wire(), 0)
+    assert receiver.delivered_count == 1
     assert receiver.delivered_log == [(sb, 0)]
 
 

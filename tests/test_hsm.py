@@ -311,3 +311,12 @@ def test_ecies_with_real_curve(p224_suite):
     kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
     ct = encrypt_for(pub, b"over the real curve", suite=p224_suite)
     assert hsm.decrypt(kid, ct) == b"over the real curve"
+
+
+def test_encrypt_for_requires_a_suite(hsm, fast_suite):
+    """Sealing guesses no suite: a default one would fail on every genuine
+    ``fast`` key."""
+    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    assert hsm.decrypt(kid, encrypt_for(pub, b"m", fast_suite, Random(67))) == b"m"
+    with pytest.raises(TypeError):
+        encrypt_for(pub, b"m")

@@ -536,6 +536,17 @@ def test_run_sweep_matches_individual_runs():
     assert [m.csv_row() for m in swept] == [m.csv_row() for m in singles]
 
 
+def test_process_pool_sweep_matches_serial():
+    """Worker processes return the same metrics, in grid order, as one
+    process running the grid point by point."""
+    base = _repository_scenario("smoke.ini")
+    grid = GridSpec.parse(["seed=1,2,3", "beacon_interval_ms=100,200"])
+    serial = run_sweep(base, grid, jobs=1)
+    assert [(m.seed, m.beacon_interval_ms) for m in serial] == [
+        (seed, interval) for seed in (1, 2, 3) for interval in (100, 200)]
+    assert run_sweep(base, grid, jobs=2) == serial
+
+
 def test_invalid_grid_value_is_rejected():
     base = _config(security_mode="novc")
     with pytest.raises(ScenarioError):

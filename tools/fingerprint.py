@@ -42,9 +42,12 @@ def configurations(scenario, scenarios_dir: Path):
     for seed in range(1, 11):
         yield f"overhead-120s-seed{seed}", load("overhead.ini", seed=seed)
     yield "overhead-3-6s-pseudonyms", load("overhead.ini", min_lifetime_s=3, max_lifetime_s=6)
-    # the only configuration whose pseudonym changes hit the beacon cap
+    # the only configurations whose pseudonym changes hit the beacon cap; with a
+    # pool of 4 every vehicle runs out of spares
     yield "overhead-60s-max-beacons", load("overhead.ini", duration_s=60, min_lifetime_s=3,
                                            max_beacons=100)
+    yield "overhead-60s-pool-4", load("overhead.ini", duration_s=60, min_lifetime_s=3,
+                                      max_beacons=100, pool_size=4)
     for interval in (200, 500):
         for seed in (1, 2, 3):
             yield (f"overhead-60s-{interval}ms-seed{seed}",
