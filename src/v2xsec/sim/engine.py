@@ -54,7 +54,7 @@ from ..beaconing import (
 from ..clocks import VirtualClock
 from ..hsm import Hsm
 from ..identity import CertificateAuthority, IdentityManager, PseudonymChangePolicy
-from ..suites import get_suite
+from ..suites import VerdictMemo, get_suite
 from .metrics import CrashEvent, EmissionRecord, RunMetrics
 from .scenario import ScenarioConfig
 
@@ -112,7 +112,8 @@ class HighwaySimulation:
         self.warmup_ms = config.warmup_ms
         self.secured = config.security_mode == "secured"
         self._app = self._app_on_beacon if config.braking_enabled else None
-        self.suite = get_suite(config.crypto)
+        # every beacon reaches several receivers: verify each signature once per run
+        self.suite = VerdictMemo(get_suite(config.crypto))
         self.metrics = RunMetrics(
             scenario_id=config.name,
             seed=config.seed,

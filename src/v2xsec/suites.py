@@ -10,6 +10,11 @@ Two interchangeable backends share one wire format:
   fixed field). Large simulations select it to keep runs tractable; nothing
   produced with it offers any security.
 
+Given the same seeded ``rng``, both draw the same values per key, so a seed
+fixes the key material of either suite. ``VerdictMemo`` sits in front of
+either one for the length of a simulation run and answers repeated
+verifications of the same signature from memory.
+
 Signatures travel in a fixed-width field of ``SIG_FIELD_LEN`` bytes: the
 DER-encoded signature followed by zero padding. DER is self-delimiting, so
 the original encoding is recovered exactly; parsers reject nonzero padding.
@@ -35,7 +40,10 @@ SCALAR_LEN = 28
 SIG_FIELD_LEN = 64  # fixed on-wire field; DER P-224 signatures are <= 64 bytes
 
 _CURVE = ec.SECP224R1()
-_ECDSA = ec.ECDSA(hashes.SHA256())
+_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D  # of P-224
+# RFC 6979 nonces: a key and a message fix the signature.
+_ECDSA = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+_CACHE_MAX = 65536  # entries a cache holds before it is cleared
 
 
 class SuiteError(Exception):
@@ -65,17 +73,29 @@ def unpad_signature(field: bytes) -> bytes:
 
 
 class P224Suite:
-    """ECDSA over NIST P-224 (SHA-256) plus ECDH for hybrid encryption."""
+    """ECDSA over NIST P-224 (SHA-256) plus ECDH for hybrid encryption.
+
+    Signatures use RFC 6979 nonces, so the same key and data always give the
+    same signature.
+    """
 
     name = "p224"
 
     def generate_keypair(self, rng: Random | None = None) -> tuple[object, bytes]:
         """Return an opaque private handle and the 57-byte public point.
 
-        The optional ``rng`` is accepted for interface parity; curve keys
-        always come from the operating system's CSPRNG.
+        With ``rng`` the scalar is ``rng.randbytes(28)`` reduced mod the curve
+        order (drawn again on zero), the same draw ``FastHashSuite`` makes, so
+        a seeded ``rng`` makes the key reproducible and exactly as secret as
+        the seed. Without it the key comes from the operating system's CSPRNG.
         """
-        priv = ec.generate_private_key(_CURVE)
+        if rng is None:
+            priv = ec.generate_private_key(_CURVE)
+        else:
+            scalar = 0
+            while not scalar:
+                scalar = int.from_bytes(rng.randbytes(SCALAR_LEN), "big") % _ORDER
+            priv = ec.derive_private_key(scalar, _CURVE)
         return priv, self._public_bytes(priv.public_key())
 
     def sign(self, private_handle: object, data: bytes) -> bytes:
@@ -138,21 +158,17 @@ class FastHashSuite:
     the shared secret from the two public points alone, which keeps encrypt
     and decrypt consistent without any trapdoor.
 
-    A verdict is a pure function of (public key, data, signature), and in a
-    simulation every beacon reaches several receivers with the same three
-    values, so recent verdicts are remembered. Callers still ask for every
-    check and get the answer a fresh computation would give.
+    Every verdict is computed afresh; a simulation remembers verdicts for the
+    length of a run in its ``VerdictMemo``.
     """
 
     name = "fast"
     _SIG_BODY = 32
     _SIG_LEN = 2 + _SIG_BODY
     _SIG_HEADER = bytes([0x30, _SIG_BODY])
-    _CACHE_MAX = 65536
 
     def __init__(self) -> None:
         self._pub_cache: dict[bytes, bytes] = {}
-        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
 
     def generate_keypair(self, rng: Random | None = None) -> tuple[object, bytes]:
         scalar = rng.randbytes(SCALAR_LEN) if rng is not None else os.urandom(SCALAR_LEN)
@@ -164,17 +180,7 @@ class FastHashSuite:
         return self._SIG_HEADER + hashlib.sha256(pub + data).digest()
 
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
-        key = (public_key, data, signature)
-        try:
-            verdict = self._verdicts.get(key)
-        except TypeError:  # unhashable input, e.g. a bytearray
-            return self._check(public_key, data, signature)
-        if verdict is None:
-            verdict = self._check(public_key, data, signature)
-            if len(self._verdicts) >= self._CACHE_MAX:
-                self._verdicts.clear()
-            self._verdicts[key] = verdict
-        return verdict
+        return self._check(public_key, data, signature)
 
     def _check(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         if len(public_key) != POINT_LEN or public_key[0] != 0x04:
@@ -204,7 +210,7 @@ class FastHashSuite:
         x = hashlib.sha256(b"fastsuite-x" + scalar).digest()[:28]
         y = hashlib.sha256(b"fastsuite-y" + scalar).digest()[:28]
         public = b"\x04" + x + y
-        if len(self._pub_cache) > self._CACHE_MAX:
+        if len(self._pub_cache) > _CACHE_MAX:
             self._pub_cache.clear()
         self._pub_cache[scalar] = public
         return public
@@ -214,7 +220,46 @@ class FastHashSuite:
         return hashlib.sha256(b"fastsuite-dh" + ephemeral_public + recipient_public).digest()[:28]
 
 
-SignatureSuite = P224Suite | FastHashSuite
+class VerdictMemo:
+    """A suite that remembers the verdicts of one simulation run.
+
+    A verdict is a pure function of (public key, data, signature). In a
+    simulation every beacon reaches several receivers with the same three
+    values, and each receiver checks the same certificate on first contact,
+    so ``verify`` asks the wrapped suite once per distinct triple and answers
+    repeats, failures included, from a dict. Callers still ask for every
+    check and get the answer a fresh computation would give. Input that
+    cannot be a dict key, such as a ``bytearray``, goes straight to the
+    suite, and the dict is cleared when it reaches 65,536 entries. Build one
+    per run, so that nothing carries over from one run to the next; every
+    other operation is the wrapped suite's own.
+    """
+
+    def __init__(self, suite: SignatureSuite) -> None:
+        self.name = suite.name
+        self.sign = suite.sign
+        self.generate_keypair = suite.generate_keypair
+        self.ecdh_sender = suite.ecdh_sender
+        self.ecdh_receiver = suite.ecdh_receiver
+        self.private_scalar_bytes = suite.private_scalar_bytes
+        self._verify = suite.verify
+        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+
+    def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
+        key = (public_key, data, signature)
+        try:
+            verdict = self._verdicts.get(key)
+        except TypeError:  # unhashable input, e.g. a bytearray
+            return self._verify(public_key, data, signature)
+        if verdict is None:
+            verdict = self._verify(public_key, data, signature)
+            if len(self._verdicts) >= _CACHE_MAX:
+                self._verdicts.clear()
+            self._verdicts[key] = verdict
+        return verdict
+
+
+SignatureSuite = P224Suite | FastHashSuite | VerdictMemo
 
 _SUITES: dict[str, SignatureSuite] = {"p224": P224Suite(), "fast": FastHashSuite()}
 

@@ -26,6 +26,7 @@ from v2xsec.sim.scenario import (
     load_scenario,
 )
 from v2xsec.sim.sweep import GridSpec, expand_grid, run_sweep
+from v2xsec.suites import FastHashSuite
 
 from .oracles import crash_times_reference
 
@@ -136,6 +137,45 @@ def test_stream_rng_streams_are_stable_and_distinct():
     assert stream_rng(7, "channel").random() == stream_rng(7, "channel").random()
     assert stream_rng(7, "channel").random() != stream_rng(7, "vehicle:0").random()
     assert stream_rng(7, "channel").random() != stream_rng(8, "channel").random()
+
+
+def test_p224_runs_repeat_and_match_fast():
+    """Seeded curve keys and RFC 6979 signatures make ``crypto=p224`` repeat
+    per seed, and since both suites draw the same values per key, its metrics
+    equal those of ``crypto=fast`` even once pseudonyms change."""
+    overrides = dict(vehicle_count="12", duration_s="15", min_lifetime_s="3",
+                     max_lifetime_s="6")
+    config = _repository_scenario("overhead.ini", crypto="p224", **overrides)
+
+    def active_ids(sim):
+        return [node.bsec.identity.active.pseudonym_id for node in sim.nodes]
+
+    sim = HighwaySimulation(config)
+    assert active_ids(sim) == active_ids(HighwaySimulation(config))
+    fast = run_scenario(_repository_scenario("overhead.ini", crypto="fast", **overrides))
+    assert sim.run().csv_row() == fast.csv_row()
+
+
+def test_each_run_has_its_own_verdict_memo(monkeypatch):
+    calls = []
+    verify = FastHashSuite.verify
+
+    def counting(suite, *args):
+        calls.append(args)
+        return verify(suite, *args)
+
+    monkeypatch.setattr(FastHashSuite, "verify", counting)
+    config = _config(seed=11)
+    first = HighwaySimulation(config)
+    metrics = first.run()
+    first_calls = len(calls)
+    # each beacon reaches four receivers, each signature is checked once
+    assert 0 < first_calls < metrics.verification_units / 2
+    second = HighwaySimulation(config)
+    assert second.suite is not first.suite
+    assert second.suite._verdicts == {}
+    assert _fingerprint(second.run()) == _fingerprint(metrics)
+    assert len(calls) == 2 * first_calls
 
 
 # -- mode basics ---------------------------------------------------------------------

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from v2xsec import suites
 from v2xsec.suites import (
     POINT_LEN,
     SCALAR_LEN,
@@ -13,6 +14,7 @@ from v2xsec.suites import (
     FastHashSuite,
     P224Suite,
     SuiteError,
+    VerdictMemo,
     get_suite,
     pad_signature,
     unpad_signature,
@@ -102,6 +104,46 @@ def test_fast_suite_is_deterministic():
     assert a.sign(priv_a, b"data") == b.sign(priv_b, b"data")
 
 
+def test_seeded_p224_keys_and_signatures_repeat():
+    a = P224Suite()
+    b = P224Suite()
+    rng = Random(42)
+    priv_a, pub_a = a.generate_keypair(rng)
+    priv_b, pub_b = b.generate_keypair(Random(42))
+    assert pub_a == pub_b
+    assert a.sign(priv_a, b"data") == b.sign(priv_b, b"data")
+    # one 28-byte draw per key, as the fast suite makes
+    fast_rng = Random(42)
+    FastHashSuite().generate_keypair(fast_rng)
+    assert rng.random() == fast_rng.random()
+
+
+def test_p224_scalar_is_the_draw_reduced_mod_the_order():
+    order = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D
+
+    class Draws(Random):
+        def __init__(self, *values):
+            super().__init__(0)
+            self.values = list(values)
+
+        def randbytes(self, n):
+            return self.values.pop(0).to_bytes(n, "big")
+
+    suite = P224Suite()
+    priv, _ = suite.generate_keypair(Draws(order + 5))
+    assert suite.private_scalar_bytes(priv) == (5).to_bytes(SCALAR_LEN, "big")
+    # a draw that reduces to zero is drawn again
+    rng = Draws(order, 0, 7)
+    priv, _ = suite.generate_keypair(rng)
+    assert suite.private_scalar_bytes(priv) == (7).to_bytes(SCALAR_LEN, "big")
+    assert rng.values == []
+
+
+def test_unseeded_p224_keys_differ():
+    suite = P224Suite()
+    assert suite.generate_keypair()[1] != suite.generate_keypair()[1]
+
+
 def test_fast_suite_dh_agreement(fast_suite):
     rng = Random(9)
     priv, pub = fast_suite.generate_keypair(rng)
@@ -115,6 +157,70 @@ def test_p224_dh_agreement(p224_suite):
     eph_pub, shared_sender = p224_suite.ecdh_sender(pub)
     assert shared_sender == p224_suite.ecdh_receiver(priv, eph_pub)
     assert len(eph_pub) == POINT_LEN
+
+
+def _counted(suite):
+    """``suite`` with each of its ``verify`` calls recorded in a list."""
+    calls = []
+    verify = suite.verify
+
+    def counting(*args):
+        calls.append(args)
+        return verify(*args)
+
+    suite.verify = counting
+    return suite, calls
+
+
+@pytest.mark.parametrize("suite_name", ["p224", "fast"])
+def test_verdict_memo_gives_the_suite_verdict(suite_name):
+    suite = get_suite(suite_name)
+    memo = VerdictMemo(suite)
+    rng = Random(13)
+    priv, pub = suite.generate_keypair(rng)
+    _, other_pub = suite.generate_keypair(rng)
+    sig = suite.sign(priv, b"payload")
+    cases = [
+        (pub, b"payload", sig),
+        (pub, b"payloaD", sig),  # tampered data
+        (pub, b"payload", sig[:-1] + bytes([sig[-1] ^ 1])),  # tampered signature
+        (other_pub, b"payload", sig),  # wrong key
+    ]
+    expected = [True, False, False, False]
+    assert [suite.verify(*case) for case in cases] == expected
+    for _ in range(2):  # the second round is answered from memory
+        assert [memo.verify(*case) for case in cases] == expected
+    assert memo.name == suite_name
+    assert memo.sign(priv, b"payload") == sig
+
+
+@pytest.mark.parametrize("suite_class", [P224Suite, FastHashSuite])
+def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_class):
+    suite, calls = _counted(suite_class())
+    memo = VerdictMemo(suite)
+    priv, pub = suite.generate_keypair(Random(1))
+    bad = (pub, b"data", suite.sign(priv, b"other"))
+    assert not any(memo.verify(*bad) for _ in range(3))
+    assert len(calls) == 1
+    sig = suite.sign(priv, b"data")
+    for _ in range(2):
+        assert memo.verify(pub, bytearray(b"data"), sig)
+        assert not memo.verify(pub, bytearray(b"data"), bad[2])
+    assert len(calls) == 5
+    assert list(memo._verdicts) == [bad]
+
+
+def test_verdict_memo_clears_when_full(monkeypatch):
+    monkeypatch.setattr(suites, "_CACHE_MAX", 2)
+    suite, calls = _counted(FastHashSuite())
+    memo = VerdictMemo(suite)
+    priv, pub = suite.generate_keypair(Random(2))
+    sig = suite.sign(priv, b"\x00")
+    for i in range(3):
+        memo.verify(pub, bytes([i]), sig)
+    assert list(memo._verdicts) == [(pub, b"\x02", sig)]
+    assert memo.verify(pub, b"\x00", sig)  # forgotten, so asked again
+    assert len(calls) == 4
 
 
 def test_get_suite_unknown_name():

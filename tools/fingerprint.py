@@ -60,6 +60,10 @@ def configurations(scenario, scenarios_dir: Path):
         yield f"braking-{mode}", load("braking.ini", security_mode=mode)
     for seed in range(1, 21):
         yield f"braking-secured-seed{seed}", load("braking.ini", seed=seed)
+    # real curve, with pseudonym changes: seeded keys make it repeat
+    yield "p224-12v-15s-3-6s-pseudonyms", load("overhead.ini", crypto="p224", vehicle_count=12,
+                                               duration_s=15, min_lifetime_s=3,
+                                               max_lifetime_s=6)
 
 
 def fingerprint(engine, config) -> tuple:
