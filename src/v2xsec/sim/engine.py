@@ -40,8 +40,6 @@ from collections import deque
 from heapq import heappop, heappush
 from random import Random
 
-import numpy as np
-
 from ..beaconing import (
     EMERGENCY_BRAKE_FLAG,
     Beacon,
@@ -130,9 +128,9 @@ class HighwaySimulation:
         n = config.vehicle_count
         self.n = n
         # vehicle 0 leads; each vehicle follows the one with the next lower id
-        self.x = -np.arange(n, dtype=np.float64) * config.initial_headway_m
-        self.v = np.full(n, config.initial_speed_mps, dtype=np.float64)
-        self.a = np.zeros(n, dtype=np.float64)
+        self.x = [-float(i) * config.initial_headway_m for i in range(n)]
+        self.v = [float(config.initial_speed_mps)] * n
+        self.a = [0.0] * n
         self.kin_time = 0.0  # float ms so crash instants commit exactly
 
         self.crashed = [False] * n
@@ -141,18 +139,14 @@ class HighwaySimulation:
         self.warned = [False] * n
         self.braking = [False] * n
 
-        self.pairs = [(k, k - 1) for k in range(1, n)]  # (follower, leader)
-        self.pair_done = np.zeros(n - 1, dtype=bool)
-        self._followers = np.arange(1, n, dtype=np.intp)
-        self._leaders = np.arange(n - 1, dtype=np.intp)
+        # pair l is leader l and its follower l + 1; done once they collide
+        self.pair_done = [False] * (n - 1)
 
-        # channel state (hot-loop tables are plain lists: scalar indexing of
-        # numpy arrays is an order of magnitude slower per lookup)
+        # channel state
         self.loss_p = [config.base_loss] * n
         self.tx_bytes_window = [0.0] * n
         self.channel_rng = stream_rng(config.seed, "channel")
         self.in_range: list[list[int]] = [[] for _ in range(n)]
-        self.range_matrix = np.zeros((n, n), dtype=bool)
         self.total_tx_bytes = 0
         self._radio_stale = True
         self._was_moving = True
@@ -284,10 +278,9 @@ class HighwaySimulation:
         # the O(n^2) rebuild then. One extra rebuild runs after motion ends
         # (or after a crash) to capture the final positions.
         v = self.v
-        # count_nonzero is one C call; ndarray.any() goes through a Python
-        # wrapper, which dominates on arrays this small
-        moving = bool(np.count_nonzero(v != v[0])) or (
-            bool(np.count_nonzero(self.a)) and bool(np.count_nonzero(v > 0))
+        v0 = v[0]
+        moving = any(vi != v0 for vi in v) or (
+            any(self.a) and any(vi > 0 for vi in v)
         )
         if moving or self._was_moving or self._radio_stale:
             self._rebuild_radio()
@@ -299,9 +292,9 @@ class HighwaySimulation:
             return
         config = self.config
         beacon = Beacon(
-            x=float(self.x[vid]),
+            x=self.x[vid],
             y=0.0,
-            velocity=float(self.v[vid]),
+            velocity=self.v[vid],
             heading=0.0,
             generation_time=now,
             payload=_BRAKE_PAYLOAD if self.emergency[vid] else _PLAIN_PAYLOAD,
@@ -427,27 +420,34 @@ class HighwaySimulation:
     # -- channel and radio ------------------------------------------------------------
 
     def _rebuild_radio(self) -> None:
+        """Each live vehicle's live neighbours in radio range, in id order."""
         x = self.x
-        dx = x[:, None] - x[None, :]
-        within = dx * dx <= self.config.tx_range_m**2
-        alive = ~np.asarray(self.crashed, dtype=bool)
-        within &= alive[:, None]
-        within &= alive[None, :]
-        self.range_matrix = within
-        in_range = self.in_range
-        for vid in range(self.n):
-            row = within[vid].copy()
-            row[vid] = False
-            in_range[vid] = np.nonzero(row)[0].tolist()
+        crashed = self.crashed
+        range_sq = self.config.tx_range_m**2
+        in_range: list[list[int]] = [[] for _ in range(self.n)]
+        for i, xi in enumerate(x):
+            if crashed[i]:
+                continue
+            heard_by_i = in_range[i]
+            for j in range(i + 1, self.n):
+                dx = xi - x[j]
+                if dx * dx <= range_sq and not crashed[j]:
+                    heard_by_i.append(j)
+                    in_range[j].append(i)
+        self.in_range = in_range
 
     def _roll_channel_window(self) -> None:
         config = self.config
-        # own transmissions occupy the medium too, so keep the diagonal
-        tx_window = np.asarray(self.tx_bytes_window, dtype=np.float64)
-        neighborhood = self.range_matrix.astype(np.float64) @ tx_window
-        load = neighborhood / config.capacity_Bps
-        loss = np.clip(config.base_loss + config.load_coefficient * load, 0.0, 1.0)
-        self.loss_p = loss.tolist()
+        window = self.tx_bytes_window
+        # Own transmissions occupy the medium too. The byte counts are whole
+        # numbers, so the sum is exact in any order. A crashed vehicle never
+        # receives, so its entry is never read.
+        loss_p = []
+        for vid, neighbors in enumerate(self.in_range):
+            load = (window[vid] + sum([window[j] for j in neighbors])) / config.capacity_Bps
+            loss = config.base_loss + config.load_coefficient * load
+            loss_p.append(min(max(loss, 0.0), 1.0))
+        self.loss_p = loss_p
         self.tx_bytes_window = [0.0] * self.n
 
     def _sample_queues(self) -> None:
@@ -481,21 +481,21 @@ class HighwaySimulation:
         v0 = self.v
         a = self.a
         earliest: tuple[float, int] | None = None
-        for idx in self._closing_pairs(dt):
-            f, l = self.pairs[idx]
+        for l in self._closing_pairs(dt):
+            f = l + 1
             tau = _pair_crossing(
                 x0[f], v0[f], a[f], x0[l], v0[l], a[l], dt
             )
             if tau is not None and (earliest is None or tau < earliest[0]):
-                earliest = (tau, idx)
+                earliest = (tau, l)
         if earliest is None:
             self.x, self.v = _kin_step(x0, v0, a, dt)
             return None
-        tau, idx = earliest
+        tau, l = earliest
         self.x, self.v = _kin_step(x0, v0, a, tau)
-        f, l = self.pairs[idx]
-        self.pair_done[idx] = True
-        crash_pos = float(self.x[l])
+        f = l + 1
+        self.pair_done[l] = True
+        crash_pos = self.x[l]
         self.x[f] = crash_pos
         self.v[f] = 0.0
         self.v[l] = 0.0
@@ -513,32 +513,37 @@ class HighwaySimulation:
         return tau
 
     def _closing_pairs(self, dt: float) -> list[int]:
-        """Indices of open pairs that may touch within ``dt`` seconds.
+        """Leaders of open pairs that may touch within ``dt`` seconds.
 
         A pair is kept if it is already in contact, or if closing at the
         worst relative speed the segment allows would still reach the
         leader; ``_pair_crossing`` solves only the pairs kept here.
         """
-        f = self._followers
-        l = self._leaders
+        x = self.x
         v = self.v
         a = self.a
-        vf = v[f]
-        af = a[f]
-        vl = v[l]
-        gap = self.x[l] - self.x[f]
-        vf_max = np.where(af > 0, np.maximum(vf, vf + af * dt), vf)
-        vl_min = np.minimum(vl, np.maximum(vl + a[l] * dt, 0.0))
-        may_touch = (gap <= _CONTACT_EPS) | ~(gap + (vl_min - vf_max) * dt > 0.0)
-        return (may_touch & ~self.pair_done).nonzero()[0].tolist()
+        kept = []
+        for l, done in enumerate(self.pair_done):
+            if done:
+                continue
+            f = l + 1
+            gap = x[l] - x[f]
+            vf = v[f]
+            af = a[f]
+            vf_max = max(vf, vf + af * dt) if af > 0 else vf
+            vl = v[l]
+            vl_min = min(vl, max(vl + a[l] * dt, 0.0))
+            if gap <= _CONTACT_EPS or not gap + (vl_min - vf_max) * dt > 0.0:
+                kept.append(l)
+        return kept
 
     # -- finish -------------------------------------------------------------------------
 
     def _finalize(self) -> None:
         metrics = self.metrics
         metrics.offered_load_Bps = self.total_tx_bytes / self.config.duration_s
-        metrics.final_positions = [float(val) for val in self.x]
-        metrics.final_speeds = [float(val) for val in self.v]
+        metrics.final_positions = list(self.x)
+        metrics.final_speeds = list(self.v)
         for bsec in self._security_layers:
             metrics.delivered += bsec.delivered_count
             metrics.evicted_jobs += bsec.evicted_jobs
@@ -551,17 +556,20 @@ class HighwaySimulation:
         metrics.finalize()
 
 
-def _kin_step(x: np.ndarray, v: np.ndarray, a: np.ndarray,
-              dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _kin_step(x: list[float], v: list[float], a: list[float],
+              dt: float) -> tuple[list[float], list[float]]:
     """Constant-acceleration step with a stop clamp (no reversing)."""
-    braking = a < 0
-    t_stop = np.full(x.shape, dt)
-    if np.count_nonzero(braking):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stop = np.where(braking & (v > 0), v / np.where(braking, -a, 1.0), 0.0)
-        t_stop = np.where(braking, np.minimum(dt, stop), dt)
-    x_new = x + v * t_stop + 0.5 * a * t_stop * t_stop
-    v_new = np.maximum(v + a * t_stop, 0.0)
+    x_new = []
+    v_new = []
+    for xi, vi, ai in zip(x, v, a):
+        t = dt
+        if ai < 0:
+            stop = vi / -ai if vi > 0 else 0.0
+            if stop < dt:
+                t = stop
+        x_new.append(xi + vi * t + 0.5 * ai * t * t)
+        # zero first, so a sum of -0.0 settles at 0.0
+        v_new.append(max(0.0, vi + ai * t))
     return x_new, v_new
 
 

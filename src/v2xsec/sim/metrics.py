@@ -9,11 +9,10 @@ precision so a rerun of the same seed produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
-
-import numpy as np
 
 CSV_COLUMNS = [
     "scenario_id",
@@ -94,9 +93,9 @@ class RunMetrics:
         else:
             self.certificate_fraction = 0.0
         if self.time_to_trust_ms:
-            arr = np.asarray(self.time_to_trust_ms, dtype=np.float64)
-            self.p95_time_to_trust_ms = float(np.percentile(arr, 95))
-            self.median_time_to_trust_ms = float(np.percentile(arr, 50))
+            ordered = sorted(self.time_to_trust_ms)
+            self.p95_time_to_trust_ms = _percentile(ordered, 95)
+            self.median_time_to_trust_ms = _percentile(ordered, 50)
         self.crashes = len(self.crash_events)
 
     def csv_row(self) -> list[str]:
@@ -115,6 +114,25 @@ class RunMetrics:
             p95,
             str(self.crashes),
         ]
+
+
+def _percentile(ordered: list[float], q: float) -> float:
+    """The ``q``-th percentile of sorted values, interpolated linearly.
+
+    The 7th method of Hyndman and Fan, computed operation for operation as
+    ``numpy.percentile`` does by default, so the reported figure is the same
+    to the last bit: the lerp runs from the nearer end, ``b`` once the
+    fraction reaches 0.5.
+    """
+    last = len(ordered) - 1
+    index = last * (q / 100)
+    lo = math.floor(index)
+    a = float(ordered[lo])
+    b = float(ordered[min(lo + 1, last)])
+    g = index - lo
+    if g >= 0.5:
+        return b - (b - a) * (1 - g)
+    return a + (b - a) * g
 
 
 def write_csv(path: str, runs: list[RunMetrics]) -> None:

@@ -105,6 +105,7 @@ class P224Suite:
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         try:
             pub = self._load_public(public_key)
+            signature = bytes(signature)  # the bindings below take bytes only
             # Round-trip through the (r, s) pair to reject DER with trailing
             # garbage or non-canonical encodings before OpenSSL sees it.
             r, s = decode_dss_signature(signature)
@@ -144,7 +145,7 @@ class P224Suite:
         if len(data) != POINT_LEN or data[0] != 0x04:
             raise SuiteError("public key must be a 57-byte uncompressed point")
         try:
-            return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, data)
+            return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, bytes(data))
         except ValueError as exc:
             raise SuiteError(str(exc)) from exc
 

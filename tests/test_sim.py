@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import csv
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
 from v2xsec.sim.metrics import (
     CSV_COLUMNS,
+    _percentile,
     audit_certificate_fraction,
     audit_offered_load,
     write_csv,
@@ -620,3 +625,44 @@ def test_write_csv_is_byte_identical_per_seed(tmp_path):
     write_csv(str(first), [run_scenario(config)])
     write_csv(str(second), [run_scenario(config)])
     assert first.read_bytes() == second.read_bytes()
+
+
+# -- percentile ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("values, q, expected", [
+    ([7], 50, 7.0),
+    ([7], 95, 7.0),
+    # index 0.5 and 0.95 between 10 and 20
+    ([10, 20], 50, 15.0),
+    ([10, 20], 95, 19.5),
+    # index 1.5: halfway from 2 to 4, fraction exactly 0.5
+    ([8, 1, 4, 2], 50, 3.0),
+    ([10**12, 10**12 + 1], 50, 1000000000000.5),
+    # index 1.9 between the upper two
+    ([10**12 + 3, 10**12 + 7, 10**12 + 11], 95, 1000000000010.6),
+    # from the upper end: b - (b - a) * 0.05 rounds to ...817.5999, where
+    # a + (b - a) * 0.95 would round to ...817.6
+    ([841838110529, 1606133584517], 95, 1567918810817.5999),
+])
+def test_percentile_by_hand(values, q, expected):
+    assert _percentile(sorted(values), q) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 10**13), min_size=1, max_size=300),
+       st.sampled_from([50, 95]))
+def test_percentile_matches_numpy(values, q):
+    np = pytest.importorskip("numpy")
+    assert _percentile(sorted(values), q) == float(np.percentile(values, q))
+
+
+def test_simulator_imports_no_numpy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + inherited if inherited else src)
+    code = ("import sys, v2xsec, v2xsec.sim.engine, v2xsec.cli; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

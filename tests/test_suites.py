@@ -210,6 +210,32 @@ def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_cla
     assert list(memo._verdicts) == [bad]
 
 
+@pytest.mark.parametrize("suite_name", ["p224", "fast"])
+def test_bytearray_input_gets_the_bytes_verdict(suite_name):
+    suite = get_suite(suite_name)
+    memo = VerdictMemo(suite)
+    rng = Random(17)
+    priv, pub = suite.generate_keypair(rng)
+    _, other_pub = suite.generate_keypair(rng)
+    sig = suite.sign(priv, b"payload")
+    cases = [
+        (pub, b"payload", sig),
+        (pub, b"payloaD", sig),
+        (pub, b"payload", sig[:-1] + bytes([sig[-1] ^ 1])),
+        (other_pub, b"payload", sig),
+    ]
+    for case in cases:
+        expected = suite.verify(*case)
+        for position in range(3):
+            mixed = list(case)
+            mixed[position] = bytearray(mixed[position])
+            assert suite.verify(*mixed) == expected
+            assert memo.verify(*mixed) == expected  # unhashable: straight to the suite
+        every = [bytearray(part) for part in case]
+        assert suite.verify(*every) == expected
+        assert memo.verify(*every) == expected
+
+
 def test_verdict_memo_clears_when_full(monkeypatch):
     monkeypatch.setattr(suites, "_CACHE_MAX", 2)
     suite, calls = _counted(FastHashSuite())

@@ -60,6 +60,11 @@ def configurations(scenario, scenarios_dir: Path):
         yield f"braking-{mode}", load("braking.ini", security_mode=mode)
     for seed in range(1, 21):
         yield f"braking-secured-seed{seed}", load("braking.ini", seed=seed)
+    # late reactions crash vehicles that keep beaconing, so the radio and the
+    # channel run on after a crash
+    for mode in ("unsecured", "secured"):
+        yield (f"braking-{mode}-late-reaction",
+               load("braking.ini", security_mode=mode, reaction_delay_ms=5000))
     # real curve, with pseudonym changes: seeded keys make it repeat
     yield "p224-12v-15s-3-6s-pseudonyms", load("overhead.ini", crypto="p224", vehicle_count=12,
                                                duration_s=15, min_lifetime_s=3,
