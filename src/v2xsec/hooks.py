@@ -13,8 +13,8 @@ Two invariants the rest of the system leans on:
 * fail closed: a handler that raises is treated as a drop, never as a pass.
 
 A convergence adapter binds the abstract stack to a concrete link layer; it
-owns frame encoding and declares which stack commands (such as changing the
-link-layer address on a pseudonym change) it can execute.
+owns frame encoding and executes the one stack command, changing the
+link-layer address on a pseudonym change.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Callable, Iterable
+from typing import Callable
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +35,6 @@ class HookError(Exception):
 
 
 class DuplicateHandlerError(HookError):
-    pass
-
-
-class UnsupportedCommandError(HookError):
     pass
 
 
@@ -79,12 +75,6 @@ class Message:
 
     def to_bytes(self) -> bytes:
         return struct.pack(">H", self.type_tag) + self.body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Message":
-        if len(data) < 2:
-            raise ValueError("message shorter than its type tag")
-        return cls(type_tag=struct.unpack(">H", data[:2])[0], body=data[2:])
 
 
 class Verdict(Enum):
@@ -152,7 +142,7 @@ class DispatchOutcome:
     dropped_by: str | None = None
 
 
-# -- stack commands ------------------------------------------------------------
+# -- stack command and convergence adapter ------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -160,16 +150,8 @@ class SetLinkAddress:
     address: bytes
 
 
-StackCommand = SetLinkAddress
-
-
-# -- convergence adapters ---------------------------------------------------------
-
-
 class RawEthernetAdapter:
     """Simple framing: 6-byte source link address, then the message bytes."""
-
-    HEADER_LEN = 6
 
     def __init__(self, link_address: bytes = b"\x02\x00\x00\x00\x00\x00") -> None:
         self.link_address = link_address
@@ -177,60 +159,10 @@ class RawEthernetAdapter:
     def encode_frame(self, message: Message) -> bytes:
         return self.link_address + message.to_bytes()
 
-    def decode_frame(self, frame: bytes) -> Message:
-        if len(frame) < self.HEADER_LEN + 2:
-            raise ValueError("frame shorter than header")
-        return Message.from_bytes(frame[self.HEADER_LEN:])
-
-    def supports(self, command: StackCommand) -> bool:
-        return isinstance(command, SetLinkAddress)
-
-    def execute(self, command: StackCommand) -> None:
-        if not isinstance(command, SetLinkAddress):
-            raise UnsupportedCommandError(type(command).__name__)
+    def execute(self, command: SetLinkAddress) -> None:
         if len(command.address) != 6:
             raise ValueError("link address must be 6 bytes")
         self.link_address = command.address
-
-
-class TaggedFrameAdapter:
-    """Alternative framing to demonstrate convergence-layer swaps.
-
-    Layout: magic byte, big-endian body length, message bytes, then the
-    6-byte source address as a trailer. Configurable support for address
-    changes, to exercise capability negotiation.
-    """
-
-    MAGIC = 0xA5
-
-    def __init__(self, link_address: bytes = b"\x02\x00\x00\x00\x00\x01",
-                 can_set_address: bool = True) -> None:
-        self.link_address = link_address
-        self._can_set_address = can_set_address
-
-    def encode_frame(self, message: Message) -> bytes:
-        payload = message.to_bytes()
-        return bytes([self.MAGIC]) + struct.pack(">H", len(payload)) + payload + self.link_address
-
-    def decode_frame(self, frame: bytes) -> Message:
-        if len(frame) < 9 or frame[0] != self.MAGIC:
-            raise ValueError("bad frame magic")
-        (length,) = struct.unpack(">H", frame[1:3])
-        payload = frame[3:3 + length]
-        if len(payload) != length or len(frame) != 3 + length + 6:
-            raise ValueError("frame length mismatch")
-        return Message.from_bytes(payload)
-
-    def supports(self, command: StackCommand) -> bool:
-        return isinstance(command, SetLinkAddress) and self._can_set_address
-
-    def execute(self, command: StackCommand) -> None:
-        if not self.supports(command):
-            raise UnsupportedCommandError(type(command).__name__)
-        self.link_address = command.address
-
-
-ConvergenceAdapter = RawEthernetAdapter | TaggedFrameAdapter
 
 
 # -- the hook stack -----------------------------------------------------------------
@@ -265,7 +197,7 @@ class _Chain:
 class HookStack:
     """Fixed interception points with priority-ordered handler chains."""
 
-    def __init__(self, adapter: ConvergenceAdapter | None = None) -> None:
+    def __init__(self, adapter: RawEthernetAdapter | None = None) -> None:
         self._chains: dict[IlpPosition, _Chain] = {p: _Chain() for p in IlpPosition}
         self.adapter = adapter
 
@@ -327,14 +259,10 @@ class HookStack:
             if not restart:
                 return DispatchOutcome(delivered=True, message=current)
 
-    def traverse(self, message: Message, direction: Direction,
-                 start: IlpPosition | None = None) -> DispatchOutcome:
+    def traverse(self, message: Message, direction: Direction) -> DispatchOutcome:
         """Send one message through every point in stack order."""
-        order: Iterable[IlpPosition]
         order = UP_ORDER if direction is Direction.UP else DOWN_ORDER
         current = message
-        if start is not None:
-            order = [p for p in order if (p >= start if direction is Direction.UP else p <= start)]
         for position in order:
             outcome = self.dispatch(position, current, direction)
             if not outcome.delivered:
@@ -342,12 +270,12 @@ class HookStack:
             current = outcome.message
         return DispatchOutcome(delivered=True, message=current)
 
-    # commands and framing
+    # link layer
 
-    def command(self, cmd: StackCommand) -> None:
+    def command(self, cmd: SetLinkAddress) -> None:
         """Execute a stack command through the convergence adapter."""
-        if self.adapter is None or not self.adapter.supports(cmd):
-            raise UnsupportedCommandError(type(cmd).__name__)
+        if self.adapter is None:
+            raise HookError("no convergence adapter bound")
         self.adapter.execute(cmd)
 
     def transmit(self, message: Message) -> bytes | None:
@@ -358,10 +286,3 @@ class HookStack:
         if not outcome.delivered:
             return None
         return self.adapter.encode_frame(outcome.message)
-
-    def receive_frame(self, frame: bytes) -> DispatchOutcome:
-        """Decode one frame and run it up the stack toward the application."""
-        if self.adapter is None:
-            raise HookError("no convergence adapter bound")
-        message = self.adapter.decode_frame(frame)
-        return self.traverse(message, Direction.UP)

@@ -227,19 +227,20 @@ _OPS = (
     (_op_ecies, 1),
 )
 
+_HARNESS_COUNT = 4  # independent modules the fuzzed sequences are spread over
+
 
 def run_hsm_security_suite(
     sequences: int = 10_000,
     ops_per_sequence: int = 4,
     seed: int = 0x5EC0,
     suite: SignatureSuite | None = None,
-    harness_count: int = 4,
 ) -> SelfTestReport:
     """Fuzz random call sequences and verify the HSM's security invariants."""
     suite = suite if suite is not None else P224Suite()
     rng = Random(seed)
     report = SelfTestReport(title=f"hsm security suite ({sequences} sequences)")
-    harnesses = [_HsmHarness(suite, Random(rng.randrange(2**63))) for _ in range(harness_count)]
+    harnesses = [_HsmHarness(suite, Random(rng.randrange(2**63))) for _ in range(_HARNESS_COUNT)]
     ops = [op for op, weight in _OPS for _ in range(weight)]
     for _ in range(sequences):
         h = rng.choice(harnesses)

@@ -188,7 +188,7 @@ class FastHashSuite:
             return False
         if len(signature) != self._SIG_LEN or signature[0] != 0x30:
             return False
-        expected = hashlib.sha256(public_key + data).digest()
+        expected = hashlib.sha256(bytes(public_key) + data).digest()
         return hmac.compare_digest(signature[2:], expected)
 
     def ecdh_sender(self, public_key: bytes, rng: Random | None = None) -> tuple[bytes, bytes]:
@@ -230,10 +230,11 @@ class VerdictMemo:
     so ``verify`` asks the wrapped suite once per distinct triple and answers
     repeats, failures included, from a dict. Callers still ask for every
     check and get the answer a fresh computation would give. Input that
-    cannot be a dict key, such as a ``bytearray``, goes straight to the
-    suite, and the dict is cleared when it reaches 65,536 entries. Build one
-    per run, so that nothing carries over from one run to the next; every
-    other operation is the wrapped suite's own.
+    cannot be a dict key, such as a ``bytearray`` or a writable
+    ``memoryview``, goes straight to the suite, and the dict is cleared
+    when it reaches 65,536 entries. Build one per run, so that nothing
+    carries over from one run to the next; every other operation is the
+    wrapped suite's own.
     """
 
     def __init__(self, suite: SignatureSuite) -> None:
@@ -250,7 +251,7 @@ class VerdictMemo:
         key = (public_key, data, signature)
         try:
             verdict = self._verdicts.get(key)
-        except TypeError:  # unhashable input, e.g. a bytearray
+        except (TypeError, ValueError):  # unhashable: a bytearray, a writable memoryview
             return self._verify(public_key, data, signature)
         if verdict is None:
             verdict = self._verify(public_key, data, signature)
