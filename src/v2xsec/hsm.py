@@ -18,7 +18,8 @@ field (DER, zero-padded to 64 bytes). The signature covers
 
 ECIES envelope: 57-byte ephemeral uncompressed point, 16-byte IV, AES-128-CBC
 body (PKCS#7), 20-byte HMAC-SHA1 tag over ``IV || body``. The ephemeral ECDH
-secret feeds HKDF-SHA1 which yields the AES key and the MAC key.
+secret feeds HKDF-SHA1 which yields the AES key and the MAC key. The ECIES
+functions load ``cryptography`` on first use (see ``_crypto``).
 """
 
 from __future__ import annotations
@@ -30,11 +31,6 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-
-from cryptography.hazmat.primitives import hashes, padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-from cryptography.hazmat.primitives.hmac import HMAC
-from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .clocks import Clock, SystemClock
 from .suites import (
@@ -311,8 +307,10 @@ def verify_signed_blob(
 
 
 def _derive_keys(shared_secret: bytes) -> tuple[bytes, bytes]:
-    okm = HKDF(
-        algorithm=hashes.SHA1(), length=16 + _ECIES_TAG_LEN, salt=None, info=_ECIES_KDF_INFO
+    from . import _crypto
+    okm = _crypto.HKDF(
+        algorithm=_crypto.hashes.SHA1(), length=16 + _ECIES_TAG_LEN, salt=None,
+        info=_ECIES_KDF_INFO,
     ).derive(shared_secret)
     return okm[:16], okm[16:]
 
@@ -325,20 +323,22 @@ def encrypt_for(
 ) -> bytes:
     """Seal ``plaintext`` to the holder of ``public_key`` (ECIES) under
     ``suite``, the one that made the key."""
+    from . import _crypto
     eph_pub, shared = suite.ecdh_sender(public_key, rng)
     aes_key, mac_key = _derive_keys(shared)
     iv = rng.randbytes(_ECIES_IV_LEN) if rng is not None else os.urandom(_ECIES_IV_LEN)
-    padder = padding.PKCS7(128).padder()
+    padder = _crypto.padding.PKCS7(128).padder()
     padded = padder.update(plaintext) + padder.finalize()
-    enc = Cipher(algorithms.AES(aes_key), modes.CBC(iv)).encryptor()
+    enc = _crypto.Cipher(_crypto.algorithms.AES(aes_key), _crypto.modes.CBC(iv)).encryptor()
     body = enc.update(padded) + enc.finalize()
-    mac = HMAC(mac_key, hashes.SHA1())
+    mac = _crypto.HMAC(mac_key, _crypto.hashes.SHA1())
     mac.update(iv + body)
     tag = mac.finalize()
     return eph_pub + iv + body + tag
 
 
 def _ecies_decrypt(suite: SignatureSuite, private_handle: object, ciphertext: bytes) -> bytes:
+    from . import _crypto
     min_len = ECIES_OVERHEAD + 16
     if len(ciphertext) < min_len:
         raise IntegrityError("ciphertext too short")
@@ -353,14 +353,14 @@ def _ecies_decrypt(suite: SignatureSuite, private_handle: object, ciphertext: by
     except (SuiteError, ValueError) as exc:
         raise IntegrityError(f"bad ephemeral point: {exc}") from exc
     aes_key, mac_key = _derive_keys(shared)
-    mac = HMAC(mac_key, hashes.SHA1())
+    mac = _crypto.HMAC(mac_key, _crypto.hashes.SHA1())
     mac.update(iv + body)
     expected = mac.finalize()
     if not hmac_mod.compare_digest(expected, tag):
         raise IntegrityError("authentication tag mismatch")
-    dec = Cipher(algorithms.AES(aes_key), modes.CBC(iv)).decryptor()
+    dec = _crypto.Cipher(_crypto.algorithms.AES(aes_key), _crypto.modes.CBC(iv)).decryptor()
     padded = dec.update(body) + dec.finalize()
-    unpadder = padding.PKCS7(128).unpadder()
+    unpadder = _crypto.padding.PKCS7(128).unpadder()
     try:
         return unpadder.update(padded) + unpadder.finalize()
     except ValueError as exc:

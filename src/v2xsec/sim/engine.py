@@ -110,7 +110,7 @@ class HighwaySimulation:
         self.warmup_ms = config.warmup_ms
         self.secured = config.security_mode == "secured"
         self._app = self._app_on_beacon if config.braking_enabled else None
-        # every beacon reaches several receivers: verify each signature once per run
+        # every beacon reaches several receivers: verify each signature once while it is fresh
         self.suite = VerdictMemo(get_suite(config.crypto))
         self.metrics = RunMetrics(
             scenario_id=config.name,

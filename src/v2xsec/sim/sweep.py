@@ -3,14 +3,14 @@
 Grid axes are given as ``key=value1,value2,...`` and expand in declaration
 order (first axis outermost). Each grid point gets a deterministic seed,
 ``base_seed XOR index``, unless the grid itself sweeps the seed. Runs are
-independent, so they can fan out across worker processes; results always
-come back in grid order regardless of completion order.
+independent, so they can fan out across worker processes, at most one per
+run; results always come back in grid order regardless of completion order.
+Only a parallel sweep imports the process pool.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .engine import run_scenario
@@ -71,5 +71,7 @@ def run_sweep(base: ScenarioConfig, grid: GridSpec, base_seed: int | None = None
     configs = expand_grid(base, grid, base_seed)
     if jobs <= 1 or len(configs) == 1:
         return [run_scenario(config) for config in configs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    # the pool starts all its workers at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return list(pool.map(run_scenario, configs))

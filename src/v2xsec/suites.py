@@ -13,7 +13,12 @@ Two interchangeable backends share one wire format:
 Given the same seeded ``rng``, both draw the same values per key, so a seed
 fixes the key material of either suite. ``VerdictMemo`` sits in front of
 either one for the length of a simulation run and answers repeated
-verifications of the same signature from memory.
+verifications of the same signature from memory, keeping two generations of
+verdicts: enough to answer every check of a beacon while it is fresh.
+
+Only ``P224Suite`` and the ECIES functions of ``hsm`` use the
+``cryptography`` library, and they load it on first use (see ``_crypto``),
+so a ``crypto=fast`` run never imports it.
 
 Signatures travel in a fixed-width field of ``SIG_FIELD_LEN`` bytes: the
 DER-encoded signature followed by zero padding. DER is self-delimiting, so
@@ -26,24 +31,19 @@ import hashlib
 import hmac
 import os
 from random import Random
+from typing import TYPE_CHECKING
 
-from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec
-from cryptography.hazmat.primitives.asymmetric.utils import (
-    decode_dss_signature,
-    encode_dss_signature,
-)
+if TYPE_CHECKING:
+    from . import _crypto
 
 POINT_LEN = 57  # uncompressed X9.62 point on P-224: 0x04 || X(28) || Y(28)
 SCALAR_LEN = 28
 SIG_FIELD_LEN = 64  # fixed on-wire field; DER P-224 signatures are <= 64 bytes
 
-_CURVE = ec.SECP224R1()
-_ORDER = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D  # of P-224
-# RFC 6979 nonces: a key and a message fix the signature.
-_ECDSA = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
-_CACHE_MAX = 65536  # entries a cache holds before it is cleared
+_CACHE_MAX = 65536  # public keys FastHashSuite derives before it forgets them
+# Verdicts in one VerdictMemo generation: about 9 simulated seconds of the
+# densest shipped scenario, against a freshness window of 1 s.
+_GENERATION = 4096
 
 
 class SuiteError(Exception):
@@ -76,7 +76,8 @@ class P224Suite:
     """ECDSA over NIST P-224 (SHA-256) plus ECDH for hybrid encryption.
 
     Signatures use RFC 6979 nonces, so the same key and data always give the
-    same signature.
+    same signature. Building one costs nothing; the first operation loads
+    ``cryptography``.
     """
 
     name = "p224"
@@ -89,63 +90,71 @@ class P224Suite:
         a seeded ``rng`` makes the key reproducible and exactly as secret as
         the seed. Without it the key comes from the operating system's CSPRNG.
         """
+        from . import _crypto
         if rng is None:
-            priv = ec.generate_private_key(_CURVE)
+            priv = _crypto.ec.generate_private_key(_crypto.CURVE)
         else:
             scalar = 0
             while not scalar:
-                scalar = int.from_bytes(rng.randbytes(SCALAR_LEN), "big") % _ORDER
-            priv = ec.derive_private_key(scalar, _CURVE)
+                scalar = int.from_bytes(rng.randbytes(SCALAR_LEN), "big") % _crypto.ORDER
+            priv = _crypto.ec.derive_private_key(scalar, _crypto.CURVE)
         return priv, self._public_bytes(priv.public_key())
 
     def sign(self, private_handle: object, data: bytes) -> bytes:
-        assert isinstance(private_handle, ec.EllipticCurvePrivateKey)
-        return private_handle.sign(data, _ECDSA)
+        from . import _crypto
+        assert isinstance(private_handle, _crypto.ec.EllipticCurvePrivateKey)
+        return private_handle.sign(data, _crypto.ECDSA)
 
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
+        from . import _crypto
         try:
             pub = self._load_public(public_key)
             signature = bytes(signature)  # the bindings below take bytes only
             # Round-trip through the (r, s) pair to reject DER with trailing
             # garbage or non-canonical encodings before OpenSSL sees it.
-            r, s = decode_dss_signature(signature)
-            if encode_dss_signature(r, s) != signature:
+            r, s = _crypto.decode_dss_signature(signature)
+            if _crypto.encode_dss_signature(r, s) != signature:
                 return False
-            pub.verify(signature, data, _ECDSA)
+            pub.verify(signature, data, _crypto.ECDSA)
             return True
-        except (ValueError, InvalidSignature, SuiteError):
+        except (ValueError, _crypto.InvalidSignature, SuiteError):
             return False
 
     def ecdh_sender(self, public_key: bytes, rng: Random | None = None) -> tuple[bytes, bytes]:
         """Fresh ephemeral exchange toward ``public_key``.
 
-        Returns ``(ephemeral_public_point, shared_secret)``.
+        The ephemeral key is drawn like any other key (``generate_keypair``),
+        so a seeded ``rng`` fixes it. Returns ``(ephemeral_public_point,
+        shared_secret)``.
         """
+        from . import _crypto
         pub = self._load_public(public_key)
-        eph = ec.generate_private_key(_CURVE)
-        shared = eph.exchange(ec.ECDH(), pub)
-        return self._public_bytes(eph.public_key()), shared
+        eph, eph_public = self.generate_keypair(rng)
+        return eph_public, eph.exchange(_crypto.ECDH, pub)
 
     def ecdh_receiver(self, private_handle: object, ephemeral_public: bytes) -> bytes:
-        assert isinstance(private_handle, ec.EllipticCurvePrivateKey)
-        return private_handle.exchange(ec.ECDH(), self._load_public(ephemeral_public))
+        from . import _crypto
+        assert isinstance(private_handle, _crypto.ec.EllipticCurvePrivateKey)
+        return private_handle.exchange(_crypto.ECDH, self._load_public(ephemeral_public))
 
     def private_scalar_bytes(self, private_handle: object) -> bytes:
-        assert isinstance(private_handle, ec.EllipticCurvePrivateKey)
+        from . import _crypto
+        assert isinstance(private_handle, _crypto.ec.EllipticCurvePrivateKey)
         return private_handle.private_numbers().private_value.to_bytes(SCALAR_LEN, "big")
 
     @staticmethod
-    def _public_bytes(pub: ec.EllipticCurvePublicKey) -> bytes:
-        return pub.public_bytes(
-            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint
-        )
+    def _public_bytes(pub: _crypto.ec.EllipticCurvePublicKey) -> bytes:
+        from . import _crypto
+        return pub.public_bytes(_crypto.serialization.Encoding.X962,
+                                _crypto.serialization.PublicFormat.UncompressedPoint)
 
     @staticmethod
-    def _load_public(data: bytes) -> ec.EllipticCurvePublicKey:
+    def _load_public(data: bytes) -> _crypto.ec.EllipticCurvePublicKey:
+        from . import _crypto
         if len(data) != POINT_LEN or data[0] != 0x04:
             raise SuiteError("public key must be a 57-byte uncompressed point")
         try:
-            return ec.EllipticCurvePublicKey.from_encoded_point(_CURVE, bytes(data))
+            return _crypto.ec.EllipticCurvePublicKey.from_encoded_point(_crypto.CURVE, bytes(data))
         except ValueError as exc:
             raise SuiteError(str(exc)) from exc
 
@@ -159,8 +168,8 @@ class FastHashSuite:
     the shared secret from the two public points alone, which keeps encrypt
     and decrypt consistent without any trapdoor.
 
-    Every verdict is computed afresh; a simulation remembers verdicts for the
-    length of a run in its ``VerdictMemo``.
+    Every verdict is computed afresh; a simulation remembers the verdicts it
+    can still ask for in its ``VerdictMemo``.
     """
 
     name = "fast"
@@ -222,19 +231,28 @@ class FastHashSuite:
 
 
 class VerdictMemo:
-    """A suite that remembers the verdicts of one simulation run.
+    """A suite that remembers the verdicts a simulation run can still ask for.
 
     A verdict is a pure function of (public key, data, signature). In a
     simulation every beacon reaches several receivers with the same three
     values, and each receiver checks the same certificate on first contact,
     so ``verify`` asks the wrapped suite once per distinct triple and answers
-    repeats, failures included, from a dict. Callers still ask for every
-    check and get the answer a fresh computation would give. Input that
-    cannot be a dict key, such as a ``bytearray`` or a writable
-    ``memoryview``, goes straight to the suite, and the dict is cleared
-    when it reaches 65,536 entries. Build one per run, so that nothing
-    carries over from one run to the next; every other operation is the
-    wrapped suite's own.
+    repeats, failures included, from memory. Callers still ask for every
+    check and get the answer a fresh computation would give.
+
+    Memory holds two generations of verdicts. ``verify`` looks in the
+    current one, then in the previous one, and carries a hit there forward
+    into the current one; a miss asks the suite and goes into the current
+    one. When the current generation holds ``_GENERATION`` verdicts, the
+    previous one is dropped and a new current one begins. A beacon's triple
+    is asked for only while the beacon is fresh, within a 1 s window in
+    every shipped scenario, and one generation spans about 9 simulated
+    seconds of the densest shipped traffic, so what is dropped can no longer
+    be asked for; if it is, the suite gives the same verdict again. Input
+    that cannot be a dict key, such as a ``bytearray`` or a writable
+    ``memoryview``, goes straight to the suite. Build one per run, so that
+    nothing carries over from one run to the next; every other operation is
+    the wrapped suite's own.
     """
 
     def __init__(self, suite: SignatureSuite) -> None:
@@ -245,7 +263,8 @@ class VerdictMemo:
         self.ecdh_receiver = suite.ecdh_receiver
         self.private_scalar_bytes = suite.private_scalar_bytes
         self._verify = suite.verify
-        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}
+        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}  # current generation
+        self._previous: dict[tuple[bytes, bytes, bytes], bool] = {}
 
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         key = (public_key, data, signature)
@@ -254,9 +273,12 @@ class VerdictMemo:
         except (TypeError, ValueError):  # unhashable: a bytearray, a writable memoryview
             return self._verify(public_key, data, signature)
         if verdict is None:
-            verdict = self._verify(public_key, data, signature)
-            if len(self._verdicts) >= _CACHE_MAX:
-                self._verdicts.clear()
+            verdict = self._previous.get(key)
+            if verdict is None:
+                verdict = self._verify(public_key, data, signature)
+            if len(self._verdicts) >= _GENERATION:
+                self._previous = self._verdicts
+                self._verdicts = {}
             self._verdicts[key] = verdict
         return verdict
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2xsec.sim import sweep
 from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
 from v2xsec.sim.metrics import (
     CSV_COLUMNS,
@@ -181,6 +183,14 @@ def test_each_run_has_its_own_verdict_memo(monkeypatch):
     assert second.suite._verdicts == {}
     assert _fingerprint(second.run()) == _fingerprint(metrics)
     assert len(calls) == 2 * first_calls
+
+
+def test_verdict_memo_holds_at_most_two_generations():
+    """A beacon's triple is asked for only while it is fresh, so a run keeps
+    at most two generations of verdicts, however long it runs."""
+    sim = HighwaySimulation(_repository_scenario("overhead.ini", duration_s="30"))
+    sim.run()
+    assert 0 < len(sim.suite._verdicts) + len(sim.suite._previous) <= 2 * 4096
 
 
 # -- mode basics ---------------------------------------------------------------------
@@ -592,6 +602,32 @@ def test_process_pool_sweep_matches_serial():
     assert run_sweep(base, grid, jobs=2) == serial
 
 
+def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
+    """The pool starts every worker it may use at the first submit, so a sweep
+    asks for at most one worker per run. No real process is started."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool, raising=False)
+    base = _config(security_mode="novc", vehicle_count=3, duration_s=2.0, warmup_s=1.0)
+    grid = GridSpec.parse(["beacon_interval_ms=100,200"])
+    assert run_sweep(base, grid, jobs=64) == run_sweep(base, grid)
+    assert asked == [2]
+
+
 def test_invalid_grid_value_is_rejected():
     base = _config(security_mode="novc")
     with pytest.raises(ScenarioError):
@@ -657,12 +693,19 @@ def test_percentile_matches_numpy(values, q):
     assert _percentile(sorted(values), q) == float(np.percentile(values, q))
 
 
-def test_simulator_imports_no_numpy():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+def test_a_fast_run_loads_only_what_it_runs():
+    """numpy (tests only), cryptography (P-224 and ECIES) and the process pool
+    (parallel sweeps) stay unloaded by importing the package and running
+    ``smoke.ini``."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(here, "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + inherited if inherited else src)
     code = ("import sys, v2xsec, v2xsec.sim.engine, v2xsec.cli; "
-            "print('numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+            "v2xsec.cli.main(['run', '--scenario', sys.argv[1]]); "
+            "heavy = ('numpy', 'cryptography', 'concurrent.futures.process', 'multiprocessing'); "
+            "print(sorted(m for m in sys.modules if m.startswith(heavy)))")
+    result = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(here, "scenarios", "smoke.ini")],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from v2xsec import suites
+from v2xsec.hsm import encrypt_for
 from v2xsec.suites import (
     POINT_LEN,
     SCALAR_LEN,
@@ -238,17 +239,41 @@ def test_bytearray_input_gets_the_bytes_verdict(suite_name):
             assert memo.verify(*every) == expected
 
 
-def test_verdict_memo_clears_when_full(monkeypatch):
-    monkeypatch.setattr(suites, "_CACHE_MAX", 2)
+def test_verdict_memo_keeps_two_generations(monkeypatch):
+    monkeypatch.setattr(suites, "_GENERATION", 2)
     suite, calls = _counted(FastHashSuite())
     memo = VerdictMemo(suite)
     priv, pub = suite.generate_keypair(Random(2))
     sig = suite.sign(priv, b"\x00")
-    for i in range(3):
-        memo.verify(pub, bytes([i]), sig)
-    assert list(memo._verdicts) == [(pub, b"\x02", sig)]
-    assert memo.verify(pub, b"\x00", sig)  # forgotten, so asked again
-    assert len(calls) == 4
+    a, b, c, d = ((pub, bytes([i]), sig) for i in range(4))
+    assert memo.verify(*a) and not memo.verify(*b)
+    assert memo.verify(*a) and not memo.verify(*b)  # within a generation: from memory
+    assert len(calls) == 2
+    assert not memo.verify(*c)  # the current generation is full: a new one begins
+    assert list(memo._previous) == [a, b] and list(memo._verdicts) == [c]
+    assert memo.verify(*a)  # a hit in the previous generation is carried forward
+    assert len(calls) == 3
+    assert list(memo._verdicts) == [c, a]
+    assert not memo.verify(*d)  # b is now older than two generations
+    assert list(memo._previous) == [c, a] and list(memo._verdicts) == [d]
+    assert not memo.verify(*b)  # so the suite is asked again
+    assert len(calls) == 5
+    for i in range(20):  # never more than two generations
+        memo.verify(pub, bytes([i % 7]), sig)
+        assert len(memo._verdicts) + len(memo._previous) <= 2 * 2
+
+
+@pytest.mark.parametrize("suite_name", ["p224", "fast"])
+def test_ecies_ephemeral_key_follows_the_seed(suite_name):
+    """A seeded ``rng`` fixes the ciphertext, and both suites draw the same
+    values from it for the ephemeral key."""
+    suite = get_suite(suite_name)
+    _, pub = suite.generate_keypair(Random(4))
+    assert encrypt_for(pub, b"msg", suite, Random(5)) == encrypt_for(pub, b"msg", suite, Random(5))
+    rng, reference = Random(6), Random(6)
+    suite.ecdh_sender(pub, rng)
+    FastHashSuite().ecdh_sender(pub, reference)
+    assert rng.getstate() == reference.getstate()
 
 
 def test_get_suite_unknown_name():
