@@ -1,13 +1,11 @@
-"""Millisecond clocks with a monotone guarantee.
+"""The one clock type: a manually driven millisecond clock.
 
-Security components never read wall time directly; they take one of these
-clock objects so that simulations can drive time deterministically and tests
-can replay exact schedules.
+Security components never read wall time; they take a ``VirtualClock`` so
+that simulations drive time deterministically and tests can replay exact
+schedules. There is no wall-time clock.
 """
 
 from __future__ import annotations
-
-import time
 
 
 class VirtualClock:
@@ -35,19 +33,3 @@ class VirtualClock:
         if now_ms > self._now_ms:
             self._now_ms = int(now_ms)
         return self._now_ms
-
-
-class SystemClock:
-    """Milliseconds since construction, from the host monotonic clock."""
-
-    __slots__ = ("_t0",)
-
-    def __init__(self) -> None:
-        self._t0 = time.monotonic_ns()
-
-    @property
-    def now(self) -> int:
-        return (time.monotonic_ns() - self._t0) // 1_000_000
-
-
-Clock = VirtualClock | SystemClock

@@ -10,7 +10,6 @@ at a reserved top-priority band that static configuration cannot occupy.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 from enum import Enum
 
@@ -180,10 +179,6 @@ class IntrusionDetector:
         self._last_state: dict[str, str] = {}
         self.anomaly_count = 0
 
-    def reset(self) -> None:
-        self._last_state.clear()
-        self.anomaly_count = 0
-
     def observe(self, event: InVehicleEvent) -> Anomaly | None:
         """Check one event; None means it conforms to the specification."""
         spec = self.spec.signals.get(event.signal)
@@ -229,90 +224,3 @@ class IntrusionDetector:
         self.anomaly_count += 1
         return Anomaly(kind=kind, signal=event.signal, detail=detail,
                        source_app=event.source_app, timestamp=event.timestamp)
-
-
-# -- configuration loading ---------------------------------------------------------
-
-
-def load_gateway_config(path: str) -> tuple[Firewall, BehaviorSpec]:
-    """Build a firewall and behavior spec from an INI file.
-
-    Layout::
-
-        [firewall]
-        rule.1 = allow nav wheel_rotation 10
-        rule.2 = deny * engine_config 20
-
-        [signal.speed]
-        kind = range
-        min = 0
-        max = 90
-
-        [signal.gear]
-        kind = transition
-        states = park drive reverse
-        park = park drive reverse
-        drive = drive park
-        reverse = reverse park
-    """
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # state names are case sensitive
-    try:
-        read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise GatewayError(f"{path}: {exc}") from exc
-    if not read:
-        raise GatewayError(f"cannot read gateway config {path!r}")
-    firewall = Firewall()
-    signals: dict[str, SignalSpec] = {}
-    for section in parser.sections():
-        if section == "firewall":
-            for key, value in parser.items(section):
-                if not key.startswith("rule."):
-                    raise GatewayError(f"unknown firewall key {key!r}")
-                parts = value.split()
-                if len(parts) != 4:
-                    raise GatewayError(f"rule {key!r} needs: action app resource priority")
-                action_s, app, resource, priority_s = parts
-                try:
-                    action = Action(action_s.lower())
-                except ValueError:
-                    raise GatewayError(f"rule {key!r}: unknown action {action_s!r}") from None
-                try:
-                    priority = int(priority_s)
-                except ValueError:
-                    raise GatewayError(f"rule {key!r}: bad priority {priority_s!r}") from None
-                firewall.add_rule(FirewallRule(app, resource, action, priority))
-        elif section.startswith("signal."):
-            name = section[len("signal."):]
-            kind = parser.get(section, "kind", fallback=None)
-            if kind == "range":
-                try:
-                    low = parser.getfloat(section, "min")
-                    high = parser.getfloat(section, "max")
-                except (configparser.NoOptionError, ValueError) as exc:
-                    raise GatewayError(f"signal {name!r}: {exc}") from exc
-                extra = set(parser.options(section)) - {"kind", "min", "max"}
-                if extra:
-                    raise GatewayError(f"signal {name!r}: unknown keys {sorted(extra)}")
-                signals[name] = RangeSpec(low, high)
-            elif kind == "transition":
-                states_s = parser.get(section, "states", fallback=None)
-                if not states_s:
-                    raise GatewayError(f"signal {name!r}: transition spec needs states")
-                states = states_s.split()
-                allowed: dict[str, frozenset[str]] = {}
-                for state in states:
-                    successors = parser.get(section, state, fallback=None)
-                    if successors is None:
-                        raise GatewayError(f"signal {name!r}: state {state!r} has no successors")
-                    allowed[state] = frozenset(successors.split())
-                extra = set(parser.options(section)) - ({"kind", "states"} | set(states))
-                if extra:
-                    raise GatewayError(f"signal {name!r}: unknown keys {sorted(extra)}")
-                signals[name] = TransitionSpec(allowed)
-            else:
-                raise GatewayError(f"signal {name!r}: kind must be range or transition")
-        else:
-            raise GatewayError(f"unknown section {section!r}")
-    return firewall, BehaviorSpec(signals)

@@ -184,11 +184,6 @@ class _Chain:
         self.entries.sort(key=lambda e: (e[0], e[1]))
         self._seq += 1
 
-    def remove(self, handler_id: str) -> bool:
-        before = len(self.entries)
-        self.entries = [e for e in self.entries if e[2].handler_id != handler_id]
-        return len(self.entries) != before
-
     def matching(self, type_tag: int, direction: Direction) -> list[tuple[str, Handler]]:
         return [(reg.handler_id, fn) for _, _, reg, fn in self.entries
                 if reg.matches(type_tag, direction)]
@@ -206,12 +201,6 @@ class HookStack:
     def register_handler(self, position: IlpPosition,
                          registration: HandlerRegistration, handler: Handler) -> None:
         self._chains[position].add(registration, handler)
-
-    def unregister_handler(self, position: IlpPosition, handler_id: str) -> bool:
-        return self._chains[position].remove(handler_id)
-
-    def handler_ids(self, position: IlpPosition) -> list[str]:
-        return [reg.handler_id for _, _, reg, _ in self._chains[position].entries]
 
     # dispatch
 

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from .clocks import Clock, SystemClock
+from .clocks import VirtualClock
 from .suites import (
     POINT_LEN,
     SIG_FIELD_LEN,
-    P224Suite,
     SignatureSuite,
     SuiteError,
     pad_signature,
@@ -154,18 +153,16 @@ class _Slot:
 class Hsm:
     """Protected key store with signing, decryption and a trusted clock.
 
+    ``clock`` and ``suite`` are required: the module reads time only from
+    the clock it is given, and makes and uses keys only under ``suite``.
     All state mutations are serialized behind one lock, so interleaved calls
     from several threads observe a single linear history.
     """
 
-    def __init__(
-        self,
-        clock: Clock | None = None,
-        suite: SignatureSuite | None = None,
-        rng: Random | None = None,
-    ) -> None:
-        self._clock = clock if clock is not None else SystemClock()
-        self._suite = suite if suite is not None else P224Suite()
+    def __init__(self, clock: VirtualClock, suite: SignatureSuite,
+                 rng: Random | None = None) -> None:
+        self._clock = clock
+        self._suite = suite
         self._rng = rng
         self._lock = threading.RLock()
         self._slots: dict[str, _Slot] = {}
@@ -238,10 +235,6 @@ class Hsm:
             self._slots[key_id] = _Slot(key_id, role, handle, public, self._read_clock_locked())
             return key_id, public
 
-    def public_key(self, key_id: str) -> bytes:
-        with self._lock:
-            return self._usable_slot(key_id, allow_revoked=True).public_key
-
     def revoke_key(self, key_id: str) -> None:
         """Mark a key unusable. Idempotent; the slot's public view remains."""
         with self._lock:
@@ -275,11 +268,11 @@ class Hsm:
 
     # -- internals ---------------------------------------------------------------
 
-    def _usable_slot(self, key_id: str, allow_revoked: bool = False) -> _Slot:
+    def _usable_slot(self, key_id: str) -> _Slot:
         slot = self._slots.get(key_id)
         if slot is None:
             raise UnknownKeyError(key_id)
-        if slot.revoked and not allow_revoked:
+        if slot.revoked:
             raise RevokedKeyError(key_id)
         return slot
 
@@ -365,9 +358,3 @@ def _ecies_decrypt(suite: SignatureSuite, private_handle: object, ciphertext: by
         return unpadder.update(padded) + unpadder.finalize()
     except ValueError as exc:
         raise IntegrityError("bad padding after authenticated decrypt") from exc
-
-
-def ecies_ciphertext_len(plaintext_len: int) -> int:
-    """Exact envelope size for a plaintext of the given length."""
-    body = (plaintext_len // 16 + 1) * 16
-    return ECIES_OVERHEAD + body

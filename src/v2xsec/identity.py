@@ -24,7 +24,6 @@ from .hsm import Hsm, KeyRole
 from .suites import (
     POINT_LEN,
     SIG_FIELD_LEN,
-    P224Suite,
     SignatureSuite,
     SuiteError,
     pad_signature,
@@ -110,14 +109,18 @@ def verify_certificate(
 
 
 class CertificateAuthority:
-    """Issuing authority for pseudonym certificates (infrastructure side)."""
+    """Issuing authority for pseudonym certificates (infrastructure side).
 
-    def __init__(self, issuer_id: int, suite: SignatureSuite | None = None,
+    ``suite`` is required: it makes the authority's key and signs every
+    certificate, so verifiers must check them under the same suite.
+    """
+
+    def __init__(self, issuer_id: int, suite: SignatureSuite,
                  rng: Random | None = None) -> None:
         if not 0 <= issuer_id <= 0xFFFFFFFF:
             raise IdentityError("issuer_id must fit in 32 bits")
         self.issuer_id = issuer_id
-        self.suite = suite if suite is not None else P224Suite()
+        self.suite = suite
         self._private, self.public_key = self.suite.generate_keypair(rng)
 
     def issue(self, subject_public_key: bytes, validity_start: int,
@@ -198,10 +201,6 @@ class IdentityManager:
     @property
     def active(self) -> Pseudonym | None:
         return self._active
-
-    @property
-    def spare_count(self) -> int:
-        return len(self._spares)
 
     def provision(self, ca: CertificateAuthority, count: int,
                   validity_ms: int) -> list[Pseudonym]:

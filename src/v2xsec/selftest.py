@@ -39,7 +39,7 @@ from .hsm import (
     encrypt_for,
     verify_signed_blob,
 )
-from .suites import P224Suite, SignatureSuite
+from .suites import SignatureSuite
 
 
 @dataclass
@@ -234,10 +234,11 @@ def run_hsm_security_suite(
     sequences: int = 10_000,
     ops_per_sequence: int = 4,
     seed: int = 0x5EC0,
-    suite: SignatureSuite | None = None,
+    *,
+    suite: SignatureSuite,
 ) -> SelfTestReport:
-    """Fuzz random call sequences and verify the HSM's security invariants."""
-    suite = suite if suite is not None else P224Suite()
+    """Fuzz random call sequences and verify the HSM's security invariants
+    under ``suite``, the one the fuzzed modules make their keys with."""
     rng = Random(seed)
     report = SelfTestReport(title=f"hsm security suite ({sequences} sequences)")
     harnesses = [_HsmHarness(suite, Random(rng.randrange(2**63))) for _ in range(_HARNESS_COUNT)]

@@ -1,18 +1,1 @@
 """Deterministic discrete-event simulation of a secured beaconing highway."""
-
-from .engine import run_scenario
-from .metrics import CSV_COLUMNS, RunMetrics, audit_certificate_fraction, write_csv
-from .scenario import ScenarioConfig, ScenarioError
-from .sweep import GridSpec, run_sweep
-
-__all__ = [
-    "run_scenario",
-    "CSV_COLUMNS",
-    "RunMetrics",
-    "audit_certificate_fraction",
-    "write_csv",
-    "ScenarioConfig",
-    "ScenarioError",
-    "GridSpec",
-    "run_sweep",
-]

@@ -1,10 +1,12 @@
 """Parameter sweeps: a grid of scenario overrides, one run per grid point.
 
 Grid axes are given as ``key=value1,value2,...`` and expand in declaration
-order (first axis outermost). Each grid point gets a deterministic seed,
-``base_seed XOR index``, unless the grid itself sweeps the seed. Runs are
-independent, so they can fan out across worker processes, at most one per
-run; results always come back in grid order regardless of completion order.
+order (first axis outermost). Each axis names one scenario field, by its bare
+or ``section.key`` name, and no two axes may name the same field. Each grid
+point gets a deterministic seed, ``base_seed XOR index``, unless the grid
+itself sweeps the seed. Runs are independent, so they can fan out across
+worker processes, at most one per run; results always come back in grid order
+regardless of completion order.
 Only a parallel sweep imports the process pool.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from .engine import run_scenario
 from .metrics import RunMetrics
-from .scenario import ScenarioConfig, ScenarioError, apply_override
+from .scenario import _FLAT, ScenarioConfig, ScenarioError, apply_override
 
 
 @dataclass(frozen=True)
@@ -25,6 +27,7 @@ class GridSpec:
     @classmethod
     def parse(cls, specs: list[str]) -> "GridSpec":
         axes = []
+        named: dict[str, str] = {}  # field -> the axis that sets it
         for spec in specs:
             key, sep, values = spec.partition("=")
             key = key.strip()
@@ -33,6 +36,14 @@ class GridSpec:
             parsed = tuple(v.strip() for v in values.split(",") if v.strip())
             if not parsed:
                 raise ScenarioError(f"grid axis {key!r} has no values")
+            entry = _FLAT.get(key)
+            if entry is None:
+                raise ScenarioError(f"unknown scenario parameter {key!r}")
+            field = entry[0]
+            if field in named:
+                raise ScenarioError(
+                    f"grid sweeps {field} twice (as {named[field]!r} and {key!r})")
+            named[field] = key
             axes.append((key, parsed))
         if not axes:
             raise ScenarioError("sweep needs at least one grid axis")
@@ -45,7 +56,7 @@ class GridSpec:
 
     @property
     def sweeps_seed(self) -> bool:
-        return any(key in ("seed", "scenario.seed") for key, _ in self.axes)
+        return any(_FLAT[key][0] == "seed" for key, _ in self.axes)
 
 
 def expand_grid(base: ScenarioConfig, grid: GridSpec,

@@ -1,4 +1,4 @@
-"""Gateway firewall ordering, anomaly detection and configuration loading."""
+"""Gateway firewall ordering and anomaly detection."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from v2xsec.gateway import (
     RangeSpec,
     RuleOrigin,
     TransitionSpec,
-    load_gateway_config,
 )
 
 from .oracles import access_reference
@@ -167,10 +166,6 @@ def test_transition_checking_is_stateful():
     assert detector.observe(ev("launch")).kind == "bad_state"
     assert detector.observe(ev(3.0)).kind == "type_mismatch"
 
-    detector.reset()
-    assert detector.anomaly_count == 0
-    assert detector.observe(ev("reverse")) is None  # fresh state machine
-
 
 def test_undeclared_signal_is_an_anomaly():
     detector = IntrusionDetector(BehaviorSpec({"speed": RangeSpec(0, 90)}))
@@ -194,83 +189,19 @@ def test_react_injects_idempotent_deny():
     assert len(injected) == 1  # second reaction folded into the first rule
 
 
-# -- configuration loading ------------------------------------------------------------
+# -- end to end --------------------------------------------------------------------
 
 
-GOOD_CONFIG = """\
-[firewall]
-rule.1 = allow nav wheel_rotation 10
-rule.2 = deny * engine_config 20
-rule.3 = allow diag * 30
-
-[signal.speed]
-kind = range
-min = 0
-max = 90
-
-[signal.gear]
-kind = transition
-states = Park Drive
-Park = Park Drive
-Drive = Drive Park
-"""
-
-
-def test_load_gateway_config(tmp_path):
-    path = tmp_path / "gateway.ini"
-    path.write_text(GOOD_CONFIG)
-    firewall, spec = load_gateway_config(str(path))
-
-    assert firewall.check_access("nav", "wheel_rotation") is Action.ALLOW
-    assert firewall.check_access("nav", "engine_config") is Action.DENY
-    assert firewall.check_access("diag", "engine_config") is Action.DENY  # 20 < 30
-    assert firewall.check_access("diag", "gps") is Action.ALLOW
-    assert firewall.check_access("radio", "gps") is Action.DENY
-
-    assert spec.signals["speed"] == RangeSpec(0, 90)
-    gear = spec.signals["gear"]
-    assert isinstance(gear, TransitionSpec)
-    assert gear.allowed["Park"] == frozenset({"Park", "Drive"})  # case preserved
-
-
-@pytest.mark.parametrize("mutation, needle", [
-    ("rule.1 = allow nav wheel_rotation 10\nbogus = x", "unknown firewall key"),
-    ("rule.1 = allow nav 10", "needs: action"),
-    ("rule.1 = maybe nav wheel 10", "unknown action"),
-    ("rule.1 = allow nav wheel soon", "bad priority"),
-])
-def test_load_rejects_bad_rules(tmp_path, mutation, needle):
-    path = tmp_path / "gateway.ini"
-    path.write_text(f"[firewall]\n{mutation}\n\n[signal.s]\nkind = range\nmin = 0\nmax = 1\n")
-    with pytest.raises(GatewayError, match=needle):
-        load_gateway_config(str(path))
-
-
-@pytest.mark.parametrize("section, needle", [
-    ("[signal.speed]\nkind = range\nmin = 0", "speed"),
-    ("[signal.speed]\nkind = range\nmin = 0\nmax = 9\ntypo = 1", "unknown keys"),
-    ("[signal.gear]\nkind = transition", "needs states"),
-    ("[signal.gear]\nkind = transition\nstates = a b\na = a", "no successors"),
-    ("[signal.gear]\nkind = mystery", "kind must be"),
-    ("[engine]\nfoo = 1", "unknown section"),
-])
-def test_load_rejects_bad_signals(tmp_path, section, needle):
-    path = tmp_path / "gateway.ini"
-    path.write_text(section + "\n")
-    with pytest.raises(GatewayError, match=needle):
-        load_gateway_config(str(path))
-
-
-def test_load_missing_file():
-    with pytest.raises(GatewayError):
-        load_gateway_config("/nonexistent/gateway.ini")
-
-
-def test_end_to_end_detect_and_block(tmp_path):
-    path = tmp_path / "gateway.ini"
-    path.write_text(GOOD_CONFIG)
-    firewall, spec = load_gateway_config(str(path))
-    detector = IntrusionDetector(spec)
+def test_end_to_end_detect_and_block():
+    firewall = Firewall()
+    for rule in (_allow("nav", "wheel_rotation", 10), _deny("*", "engine_config", 20),
+                 _allow("diag", "*", 30)):
+        firewall.add_rule(rule)
+    detector = IntrusionDetector(BehaviorSpec({
+        "speed": RangeSpec(0, 90),
+        "gear": TransitionSpec({"Park": frozenset({"Park", "Drive"}),
+                                "Drive": frozenset({"Drive", "Park"})}),
+    }))
 
     assert firewall.check_access("nav", "wheel_rotation") is Action.ALLOW
     anomaly = detector.observe(InVehicleEvent("nav", "speed", 180.0, 1000))

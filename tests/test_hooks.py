@@ -181,18 +181,6 @@ def test_duplicate_handler_id_rejected():
                            lambda m, d: Disposition.ok())
 
 
-def test_unregister_and_ids():
-    stack = HookStack()
-    stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("a", priority=2),
-                           lambda m, d: Disposition.ok())
-    stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("b", priority=1),
-                           lambda m, d: Disposition.ok())
-    assert stack.handler_ids(IlpPosition.ABOVE_MAC) == ["b", "a"]
-    assert stack.unregister_handler(IlpPosition.ABOVE_MAC, "a")
-    assert not stack.unregister_handler(IlpPosition.ABOVE_MAC, "a")
-    assert stack.handler_ids(IlpPosition.ABOVE_MAC) == ["b"]
-
-
 def test_type_and_direction_filters():
     stack = HookStack()
     hits = []

@@ -25,11 +25,11 @@ from v2xsec.hsm import (
     SignedBlob,
     UnknownKeyError,
     authorize_root_update,
-    ecies_ciphertext_len,
     encrypt_for,
     verify_signed_blob,
 )
-from v2xsec.identity import verify_certificate
+from v2xsec.identity import CertificateAuthority, verify_certificate
+from v2xsec.selftest import run_hsm_security_suite
 from v2xsec.suites import SIG_FIELD_LEN
 
 from .oracles import pkcs7_ecies_length
@@ -126,20 +126,20 @@ def test_generated_key_ids_and_slots(hsm):
     kid_b, pub_b = hsm.generate_key(KeyRole.LONG_TERM)
     assert kid_a != kid_b
     assert pub_a != pub_b
-    assert hsm.public_key(kid_a) == pub_a
     by_id = {slot.key_id: slot for slot in hsm.slots()}
+    assert by_id[kid_a].public_key == pub_a
+    assert by_id[kid_b].public_key == pub_b
     assert by_id[kid_a].role is KeyRole.SHORT_TERM
     assert by_id[kid_b].role is KeyRole.LONG_TERM
     assert not by_id[kid_a].revoked
 
 
 def test_unknown_key_operations(hsm):
-    with pytest.raises(UnknownKeyError):
-        hsm.public_key("key-999999")
-    with pytest.raises(UnknownKeyError):
-        hsm.sign_and_timestamp("nope", b"x")
-    with pytest.raises(UnknownKeyError):
-        hsm.revoke_key("nope")
+    for key_id in ("key-999999", "nope"):
+        with pytest.raises(UnknownKeyError):
+            hsm.sign_and_timestamp(key_id, b"x")
+        with pytest.raises(UnknownKeyError):
+            hsm.revoke_key(key_id)
 
 
 def test_revocation_blocks_signing_but_keeps_public_view(hsm):
@@ -148,8 +148,8 @@ def test_revocation_blocks_signing_but_keeps_public_view(hsm):
     hsm.revoke_key(kid)  # idempotent
     with pytest.raises(RevokedKeyError):
         hsm.sign_and_timestamp(kid, b"data")
-    assert hsm.public_key(kid) == pub
-    assert [s.revoked for s in hsm.slots() if s.key_id == kid] == [True]
+    view = [(s.public_key, s.revoked) for s in hsm.slots() if s.key_id == kid]
+    assert view == [(pub, True)]
 
 
 # -- signing -----------------------------------------------------------------------
@@ -170,8 +170,9 @@ def test_sign_and_timestamp_covers_message_and_time(hsm, clock, fast_suite):
 
 
 def test_verifiers_require_a_suite(hsm, ca, fast_suite):
-    """Neither verifier guesses a suite: a default one would reject every
-    genuine ``fast`` blob and certificate as bad."""
+    """Nothing guesses a suite or a clock: a default suite would reject every
+    genuine ``fast`` blob and certificate as bad, or make ``p224`` keys in a
+    ``fast`` run."""
     kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
     blob = hsm.sign_and_timestamp(kid, b"m")
     cert = ca.issue(pub, 0, 1000)
@@ -181,6 +182,11 @@ def test_verifiers_require_a_suite(hsm, ca, fast_suite):
         verify_signed_blob(pub, b"m", blob)
     with pytest.raises(TypeError):
         verify_certificate(cert, ca.public_key, 0)
+    for incomplete in (lambda: Hsm(), lambda: Hsm(VirtualClock(0)),
+                       lambda: Hsm(suite=fast_suite), lambda: CertificateAuthority(1),
+                       lambda: run_hsm_security_suite(sequences=1)):
+        with pytest.raises(TypeError):
+            incomplete()
 
 
 def test_signed_blob_wire_format(hsm, clock):
@@ -270,7 +276,7 @@ def test_ecies_roundtrip_and_length(hsm, fast_suite, size):
     plaintext = bytes(range(256)) * (size // 256 + 1)
     plaintext = plaintext[:size]
     ct = encrypt_for(pub, plaintext, suite=fast_suite, rng=Random(51))
-    assert len(ct) == ecies_ciphertext_len(size) == pkcs7_ecies_length(size)
+    assert len(ct) == pkcs7_ecies_length(size)
     assert hsm.decrypt(kid, ct) == plaintext
 
 

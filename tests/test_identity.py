@@ -139,12 +139,15 @@ def _manager(fast_suite, pool=3, policy=None):
 def test_provision_and_activate(fast_suite):
     manager, hsm, ca = _manager(fast_suite)
     assert manager.active is None
-    assert manager.spare_count == 3
     active = manager.activate_next(0)
-    assert manager.spare_count == 2
     assert active is manager.active and active.activated_at == 0
     assert not any(s.revoked for s in hsm.slots())
     assert verify_certificate(active.certificate, ca.public_key, 0, fast_suite)
+    # the three provisioned spares allow exactly three activations
+    manager.activate_next(1)
+    manager.activate_next(2)
+    with pytest.raises(PoolEmptyError):
+        manager.activate_next(3)
 
 
 def test_activation_retires_and_revokes_old_key(fast_suite):

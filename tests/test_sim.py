@@ -563,9 +563,14 @@ def test_grid_parse():
     assert combos[0] == {"beacon_interval_ms": "100", "seed": "1"}
     assert combos[3] == {"beacon_interval_ms": "200", "seed": "1"}
 
-    for bad in (["novalue"], ["x="], ["=1"], []):
+    for bad in (["novalue"], ["x="], ["=1"], [], ["no_such_field=1"],
+                # two axes setting one field: the later would overwrite the earlier
+                ["seed=1,2", "seed=3"], ["alpha=2", "beaconing.alpha=7,8"],
+                ["scenario.seed=1", "seed=2"]):
         with pytest.raises(ScenarioError):
             GridSpec.parse(bad)
+    assert GridSpec.parse(["scenario.seed=4,5"]).sweeps_seed
+    assert not GridSpec.parse(["scenario.duration_s=4,5"]).sweeps_seed
 
 
 def test_expand_grid_names_and_seeds():
@@ -694,16 +699,17 @@ def test_percentile_matches_numpy(values, q):
 
 
 def test_a_fast_run_loads_only_what_it_runs():
-    """numpy (tests only), cryptography (P-224 and ECIES) and the process pool
-    (parallel sweeps) stay unloaded by importing the package and running
-    ``smoke.ini``."""
+    """numpy (tests only), cryptography (P-224 and ECIES), the process pool
+    (parallel sweeps) and the hook framework stay unloaded by importing the
+    package and running ``smoke.ini``."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(here, "src")
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + inherited if inherited else src)
     code = ("import sys, v2xsec, v2xsec.sim.engine, v2xsec.cli; "
             "v2xsec.cli.main(['run', '--scenario', sys.argv[1]]); "
-            "heavy = ('numpy', 'cryptography', 'concurrent.futures.process', 'multiprocessing'); "
+            "heavy = ('numpy', 'cryptography', 'concurrent.futures.process', 'multiprocessing', "
+            "'v2xsec.hooks'); "
             "print(sorted(m for m in sys.modules if m.startswith(heavy)))")
     result = subprocess.run(
         [sys.executable, "-c", code, os.path.join(here, "scenarios", "smoke.ini")],

@@ -1,12 +1,11 @@
 """Parsers fail closed: any input decodes exactly or raises the parser's own error.
 
-That holds for the three wire parsers and for the two INI loaders, which
-must turn any file into a validated configuration or their own error.
+That holds for the three wire parsers and for the scenario INI loader,
+which must turn any file into a validated configuration or its own error.
 """
 
 from __future__ import annotations
 
-import textwrap
 from pathlib import Path
 from random import Random
 
@@ -24,7 +23,6 @@ from v2xsec.beaconing import (
     SecuredBeacon,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.gateway import GatewayError, load_gateway_config
 from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, SignedBlob
 from v2xsec.identity import (
     CERT_WIRE_LEN,
@@ -99,23 +97,13 @@ def test_parsers_fail_closed(name, data):
     assert encode(decoded) == raw
 
 
-# -- configuration loaders ---------------------------------------------------------
-
-
-def _gateway_example() -> bytes:
-    """The example layout in ``load_gateway_config``'s docstring."""
-    doc = load_gateway_config.__doc__
-    return textwrap.dedent(doc.split("Layout::", 1)[1]).strip().encode() + b"\n"
+# -- the scenario loader -----------------------------------------------------------
 
 
 _SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-# name -> (load, its error, the type a successful load returns, one valid file)
-LOADERS = {
-    f"scenario:{path.name}": (load_scenario, ScenarioError, ScenarioConfig, path.read_bytes())
-    for path in sorted(_SCENARIOS.glob("*.ini"))
-}
-LOADERS["gateway:docstring"] = (load_gateway_config, GatewayError, tuple, _gateway_example())
+# name -> one valid file
+LOADERS = {f"scenario:{path.name}": path.read_bytes() for path in sorted(_SCENARIOS.glob("*.ini"))}
 
 # byte strings that reach the INI syntax and the value parsers
 _TOKENS = (b"\n", b"[", b"]", b"=", b":", b"inf", b"nan", b"-1", b"1e999", b"\xff", b"\xc3")
@@ -141,22 +129,14 @@ def _mutations(sample: bytes) -> st.SearchStrategy[bytes]:
     return st.lists(edit, min_size=1, max_size=6).map(lambda edits: _mutate(sample, edits))
 
 
-def test_gateway_docstring_example_loads(tmp_path):
-    path = tmp_path / "gateway.ini"
-    path.write_bytes(_gateway_example())
-    _, spec = load_gateway_config(str(path))
-    assert sorted(spec.signals) == ["gear", "speed"]
-
-
 @pytest.mark.parametrize("name", sorted(LOADERS))
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_config_loaders_fail_closed(name, data, tmp_path_factory):
-    load, error, kind, sample = LOADERS[name]
     path = tmp_path_factory.getbasetemp() / "fuzzed.ini"
-    path.write_bytes(data.draw(_mutations(sample), label="file"))
+    path.write_bytes(data.draw(_mutations(LOADERS[name]), label="file"))
     try:
-        loaded = load(str(path))
-    except error:
+        loaded = load_scenario(str(path))
+    except ScenarioError:
         return
-    assert isinstance(loaded, kind)
+    assert isinstance(loaded, ScenarioConfig)
