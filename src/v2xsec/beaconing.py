@@ -7,17 +7,19 @@ beacon. After a pseudonym change the certificate rides on the next beta
 beacons regardless of strategy, so neighbors can pick up the new identity
 quickly.
 
-Receivers keep a neighbor table keyed by short pseudonym ids, cache the keys
-of verified certificates, and push all cryptographic checks through a
-budgeted FIFO verification queue (a few dozen verifications per second is all
-a realistic onboard unit can afford). Beacons reach the application only
-after their signature, and on first contact the sender's certificate, have
-verified: unverified traffic stays pending and is never delivered. Freshness
-and certificate validity are checked on arrival and again when a job reaches
-the queue head, so nothing goes stale waiting for its turn. The neighbor
-table is the only per-neighbor state: an entry holds the verified key, the
-beacons awaiting a certificate, and the first-beacon time that time to trust
-runs from.
+Receivers keep a neighbor table, a dict keyed by short pseudonym ids, and
+push all cryptographic checks through one budgeted FIFO verification queue (a
+few dozen verifications per second is all a realistic onboard unit can
+afford). On first contact the job checks the attached certificate and that it
+is the one the claimed id names, then the signature under its key: the same
+signature check a known sender's beacon gets under the cached key. Beacons
+reach the application only after that check: unverified traffic stays
+pending and is never delivered. Freshness and certificate validity are
+checked on arrival and again when a job reaches the queue head, so nothing
+goes stale waiting for its turn. The neighbor table is the only per-neighbor
+state: an entry holds the verified key (None until trusted), the beacons
+awaiting a certificate, and the first-beacon time that time to trust runs
+from.
 
 A beacon's fate is usually settled in a later drain of the queue, not in the
 call that received it, so receive calls return nothing: the receiver's
@@ -239,66 +241,20 @@ class SecuredBeacon:
 
 
 class NeighborEntry:
-    """One sender pseudonym. Until its certificate verifies, ``held`` keeps
-    its certless beacons (a bounded deque, made on first use); afterwards
-    ``public_key`` and ``validity_end`` come from the certificate."""
+    """One sender pseudonym, from its first reception until it has been
+    silent for longer than the expiry. Until its certificate verifies,
+    ``public_key`` is None and ``held`` keeps its certless beacons (a bounded
+    deque, made on first use); afterwards ``public_key`` and ``validity_end``
+    come from the certificate."""
 
-    __slots__ = ("pseudonym_id", "first_seen", "last_seen", "verified", "public_key",
-                 "validity_end", "held")
+    __slots__ = ("first_seen", "last_seen", "public_key", "validity_end", "held")
 
-    def __init__(self, pseudonym_id: bytes, now: int) -> None:
-        self.pseudonym_id = pseudonym_id
+    def __init__(self, now: int) -> None:
         self.first_seen = now
         self.last_seen = now
-        self.verified = False
         self.public_key: bytes | None = None
         self.validity_end = 0
         self.held: deque[SecuredBeacon] | None = None
-
-
-class NeighborTable:
-    """Pseudonym-keyed table of recently heard senders.
-
-    Entries appear on first reception (verified or not), refresh their
-    timestamp on every beacon, and expire strictly after ``expiry_ms`` of
-    silence. The table also remembers whether any new neighbor appeared since
-    the owner last sent a beacon, which drives the neighbor-triggered
-    omission variant.
-    """
-
-    def __init__(self, expiry_ms: int = 3000) -> None:
-        if expiry_ms <= 0:
-            raise BeaconingError("expiry must be positive")
-        self.expiry_ms = expiry_ms
-        self.entries: dict[bytes, NeighborEntry] = {}
-        self.new_since_mark = False
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def get(self, pseudonym_id: bytes) -> NeighborEntry | None:
-        return self.entries.get(pseudonym_id)
-
-    def observe(self, pseudonym_id: bytes, now: int) -> NeighborEntry:
-        entry = self.entries.get(pseudonym_id)
-        if entry is None:
-            entry = NeighborEntry(pseudonym_id, now)
-            self.entries[pseudonym_id] = entry
-            self.new_since_mark = True
-        elif now > entry.last_seen:
-            entry.last_seen = now
-        return entry
-
-    def mark_beacon_sent(self) -> None:
-        self.new_since_mark = False
-
-    def sweep(self, now: int) -> list[NeighborEntry]:
-        """Drop entries silent for longer than the expiry and return them."""
-        horizon = now - self.expiry_ms
-        expired = [e for e in self.entries.values() if e.last_seen < horizon]
-        for entry in expired:
-            del self.entries[entry.pseudonym_id]
-        return expired
 
 
 # -- budgeted verification -----------------------------------------------------------
@@ -383,12 +339,19 @@ class BeaconSecurity:
     ) -> None:
         if queue_capacity < 1 or pending_capacity < 1:
             raise BeaconingError("capacities must be positive")
+        if neighbor_expiry_ms <= 0:
+            raise BeaconingError("neighbor expiry must be positive")
         self.hsm = hsm
         self.identity = identity
         self.issuer_public_key = issuer_public_key
         self.strategy = strategy
         self.deliver = deliver
-        self.neighbors = NeighborTable(neighbor_expiry_ms)
+        # Neighbors by pseudonym id. An entry expires strictly after
+        # ``neighbor_expiry_ms`` of silence; ``_new_neighbor`` says whether one
+        # appeared since the last own beacon (neighbor-triggered omission).
+        self.neighbors: dict[bytes, NeighborEntry] = {}
+        self.neighbor_expiry_ms = neighbor_expiry_ms
+        self._new_neighbor = False
         self.budget = VerificationBudget(budget_per_second)
         self.queue_capacity = queue_capacity
         self.pending_capacity = pending_capacity
@@ -432,14 +395,14 @@ class BeaconSecurity:
             self._seen = active
             self._beta_remaining = self.strategy.beta
         attach = decide_attach(self.strategy, self.beacons_sent,
-                               self._beta_remaining, self.neighbors.new_since_mark)
+                               self._beta_remaining, self._new_neighbor)
         body = beacon.pack()
         blob = self.hsm.sign_and_timestamp(active.key_id, body)
         active.beacons_signed += 1
         self.beacons_sent += 1
         if self._beta_remaining > 0:
             self._beta_remaining -= 1
-        self.neighbors.mark_beacon_sent()
+        self._new_neighbor = False
         cert = active.certificate if attach else None
         if attach:
             self.beacons_sent_with_cert += 1
@@ -466,12 +429,19 @@ class BeaconSecurity:
         if delta > window or -delta > window:
             self._discard("stale")
             return
-        entry = self.neighbors.observe(sb.signer_pseudonym_id, now)
-        if entry.verified:
+        pid = sb.signer_pseudonym_id
+        entry = self.neighbors.get(pid)
+        if entry is None:
+            entry = self.neighbors[pid] = NeighborEntry(now)
+            self._new_neighbor = True
+        elif now > entry.last_seen:
+            entry.last_seen = now
+        public_key = entry.public_key
+        if public_key is not None:
             if now > entry.validity_end:
                 self._discard("expired_certificate")
                 return
-            job = (sb, entry.public_key, entry.validity_end)
+            job = (sb, public_key, entry.validity_end)
         elif sb.certificate is not None:
             job = (sb, None, 0)
         else:
@@ -493,9 +463,12 @@ class BeaconSecurity:
 
     def neighbor_maintenance(self, now: int) -> None:
         """Expire silent neighbors, dropping the beacons they held."""
-        for entry in self.neighbors.sweep(now):
-            if entry.held:
-                self.pending_dropped += len(entry.held)
+        neighbors = self.neighbors
+        horizon = now - self.neighbor_expiry_ms
+        for pid in [pid for pid, e in neighbors.items() if e.last_seen < horizon]:
+            held = neighbors.pop(pid).held
+            if held:
+                self.pending_dropped += len(held)
 
     @property
     def units_used(self) -> int:
@@ -507,7 +480,7 @@ class BeaconSecurity:
 
     @property
     def pending_count(self) -> int:
-        return sum(len(e.held) for e in self.neighbors.entries.values() if e.held)
+        return sum(len(e.held) for e in self.neighbors.values() if e.held)
 
     # -- internals --------------------------------------------------------------
 
@@ -523,41 +496,55 @@ class BeaconSecurity:
         """Verify from the queue head while the budget lasts.
 
         Each job's fate lands in the counters and, when it verifies, in the
-        delivery callback. A job that went stale while it waited, or whose
-        cached key's certificate expired, is discarded without a curve
-        operation but is still charged its units, so the queue drains at the
-        rate the budget sets. All units spent here carry the same timestamp,
-        so they are charged to the budget in one entry at the end. A drain
-        that uses up the budget records when it refills; no drain before then
-        could verify anything, so callers skip it.
+        delivery callback. A first contact costs two units: its attached
+        certificate must verify and be the one the claimed pseudonym id names
+        (the signature does not cover the id), or the job is discarded for
+        one unit without trying the signature; its subject key then checks
+        the signature like a known key's. A job that went stale while it
+        waited, or whose cached key's certificate expired, is discarded
+        without a curve operation but is still charged its units, so the
+        queue drains at the rate the budget sets. All units spent here carry
+        the same timestamp, so they are charged to the budget in one entry at
+        the end. A drain that uses up the budget records when it refills; no
+        drain before then could verify anything, so callers skip it.
         """
         queue = self._queue
         budget = self.budget
         left = start = budget.available(now)
-        verify = self.suite.verify
+        suite = self.suite
+        verify = suite.verify
         deliver = self.deliver
         window = self.freshness_window_ms
         while left > 0 and queue:
             sb, public_key, validity_end = queue[0]
-            if public_key is None and left < 2:
+            first_contact = public_key is None
+            if first_contact and left < 2:
                 break
             queue.popleft()
+            left -= 2 if first_contact else 1
             delta = now - sb.beacon.generation_time
             if delta > window or -delta > window:
                 self._discard("stale")
-                left -= 2 if public_key is None else 1
-            elif public_key is None:
-                left -= self._verify_first_contact(sb, now)
+                continue
+            if first_contact:
+                cert = sb.certificate
+                if sb.signer_pseudonym_id != cert.pseudonym_id() or not verify_certificate(
+                        cert, self.issuer_public_key, now, suite):
+                    self._discard("bad_certificate")
+                    left += 1
+                    continue
+                public_key = cert.subject_public_key
+                validity_end = cert.validity_end
+            if now > validity_end:
+                self._discard("expired_certificate")
+            elif verify(public_key, sb.signed_payload, sb.blob.signature):
+                if first_contact:
+                    self._trust(sb.signer_pseudonym_id, public_key, validity_end, now)
+                self.delivered_count += 1
+                if deliver is not None:
+                    deliver(sb, now)
             else:
-                left -= 1
-                if now > validity_end:
-                    self._discard("expired_certificate")
-                elif verify(public_key, sb.signed_payload, sb.blob.signature):
-                    self.delivered_count += 1
-                    if deliver is not None:
-                        deliver(sb, now)
-                else:
-                    self._discard("bad_signature")
+                self._discard("bad_signature")
         spent = start - left
         if spent:
             budget.consume(now, spent)
@@ -567,40 +554,18 @@ class BeaconSecurity:
         if left <= 0:
             self._idle_until = budget.refill_time()
 
-    def _verify_first_contact(self, sb: SecuredBeacon, now: int) -> int:
-        """Check the attached certificate, then the signature under its key,
-        and return the units spent.
-
-        The certificate must also be the one the claimed pseudonym id names,
-        since the signature does not cover the id. A bad certificate costs one
-        unit (the signature is never tried); every other outcome costs two.
-        The first success for a neighbor entry records its time to trust.
-        Beacons held for this sender's certificate are then queued behind it,
-        except those that went stale while they waited.
-        """
-        cert = sb.certificate
-        assert cert is not None
-        pid = sb.signer_pseudonym_id
-        if pid != cert.pseudonym_id() or not verify_certificate(
-                cert, self.issuer_public_key, now, self.suite):
-            self._discard("bad_certificate")
-            return 1
-        public_key = cert.subject_public_key
-        if not self.suite.verify(public_key, sb.signed_payload, sb.blob.signature):
-            self._discard("bad_signature")
-            return 2
+    def _trust(self, pid: bytes, public_key: bytes, validity_end: int, now: int) -> None:
+        """Cache a neighbor's verified key, recording its time to trust the
+        first time, and queue the beacons it held, except those that went
+        stale while they waited."""
         entry = self.neighbors.get(pid)
-        held = None
-        if entry is not None:
-            if not entry.verified:
-                self.time_to_trust_ms.append(now - entry.first_seen)
-            entry.verified = True
-            entry.public_key = public_key
-            entry.validity_end = cert.validity_end
-            held, entry.held = entry.held, None
-        self.delivered_count += 1
-        if self.deliver is not None:
-            self.deliver(sb, now)
+        if entry is None:
+            return
+        if entry.public_key is None:
+            self.time_to_trust_ms.append(now - entry.first_seen)
+        entry.public_key = public_key
+        entry.validity_end = validity_end
+        held, entry.held = entry.held, None
         if held:
             window = self.freshness_window_ms
             for waiting in held:
@@ -608,5 +573,4 @@ class BeaconSecurity:
                 if delta > window or -delta > window:
                     self._discard("stale")
                 else:
-                    self._enqueue((waiting, public_key, cert.validity_end))
-        return 2
+                    self._enqueue((waiting, public_key, validity_end))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .selftest import run_gateway_suite, run_hsm_security_suite
 from .sim.engine import run_scenario
 from .sim.metrics import CSV_COLUMNS, RunMetrics, write_csv
 from .sim.scenario import ScenarioError, apply_override, load_scenario
@@ -114,6 +113,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    # loaded here, so that run, sweep and validate load neither selftest nor gateway
+    from .selftest import run_gateway_suite, run_hsm_security_suite
+
     suite = get_suite(args.crypto)
     hsm_report = run_hsm_security_suite(
         sequences=args.hsm_sequences, seed=args.seed, suite=suite

@@ -40,7 +40,6 @@ POINT_LEN = 57  # uncompressed X9.62 point on P-224: 0x04 || X(28) || Y(28)
 SCALAR_LEN = 28
 SIG_FIELD_LEN = 64  # fixed on-wire field; DER P-224 signatures are <= 64 bytes
 
-_CACHE_MAX = 65536  # public keys FastHashSuite derives before it forgets them
 # Verdicts in one VerdictMemo generation: about 9 simulated seconds of the
 # densest shipped scenario, against a freshness window of 1 s.
 _GENERATION = 4096
@@ -162,14 +161,16 @@ class P224Suite:
 class FastHashSuite:
     """Size-faithful mock suite for simulation workloads. Provides no security.
 
-    Keys are hash-derived from a 28-byte scalar; a "signature" is an HMAC-like
-    digest bound to the public point, re-encoded with a DER-style header so it
-    rides in the same fixed field as a real signature. Key agreement derives
-    the shared secret from the two public points alone, which keeps encrypt
-    and decrypt consistent without any trapdoor.
+    Keys are hash-derived from a 28-byte scalar, and the private handle is
+    the pair ``(scalar, public point)``; a "signature" is an HMAC-like digest
+    bound to the public point, re-encoded with a DER-style header so it rides
+    in the same fixed field as a real signature. Key agreement derives the
+    shared secret from the two public points alone, which keeps encrypt and
+    decrypt consistent without any trapdoor.
 
-    Every verdict is computed afresh; a simulation remembers the verdicts it
-    can still ask for in its ``VerdictMemo``.
+    The suite keeps no state: every verdict is computed afresh, and a
+    simulation remembers the verdicts it can still ask for in its
+    ``VerdictMemo``.
     """
 
     name = "fast"
@@ -177,17 +178,14 @@ class FastHashSuite:
     _SIG_LEN = 2 + _SIG_BODY
     _SIG_HEADER = bytes([0x30, _SIG_BODY])
 
-    def __init__(self) -> None:
-        self._pub_cache: dict[bytes, bytes] = {}
-
     def generate_keypair(self, rng: Random | None = None) -> tuple[object, bytes]:
         scalar = rng.randbytes(SCALAR_LEN) if rng is not None else os.urandom(SCALAR_LEN)
-        return scalar, self._derive_public(scalar)
+        public = self._derive_public(scalar)
+        return (scalar, public), public
 
     def sign(self, private_handle: object, data: bytes) -> bytes:
-        assert isinstance(private_handle, bytes)
-        pub = self._derive_public(private_handle)
-        return self._SIG_HEADER + hashlib.sha256(pub + data).digest()
+        assert isinstance(private_handle, tuple)
+        return self._SIG_HEADER + hashlib.sha256(private_handle[1] + data).digest()
 
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         return self._check(public_key, data, signature)
@@ -206,24 +204,18 @@ class FastHashSuite:
         return eph_pub, self._shared(eph_pub, public_key)
 
     def ecdh_receiver(self, private_handle: object, ephemeral_public: bytes) -> bytes:
-        assert isinstance(private_handle, bytes)
-        return self._shared(ephemeral_public, self._derive_public(private_handle))
+        assert isinstance(private_handle, tuple)
+        return self._shared(ephemeral_public, private_handle[1])
 
     def private_scalar_bytes(self, private_handle: object) -> bytes:
-        assert isinstance(private_handle, bytes)
-        return private_handle
+        assert isinstance(private_handle, tuple)
+        return private_handle[0]
 
-    def _derive_public(self, scalar: bytes) -> bytes:
-        cached = self._pub_cache.get(scalar)
-        if cached is not None:
-            return cached
+    @staticmethod
+    def _derive_public(scalar: bytes) -> bytes:
         x = hashlib.sha256(b"fastsuite-x" + scalar).digest()[:28]
         y = hashlib.sha256(b"fastsuite-y" + scalar).digest()[:28]
-        public = b"\x04" + x + y
-        if len(self._pub_cache) > _CACHE_MAX:
-            self._pub_cache.clear()
-        self._pub_cache[scalar] = public
-        return public
+        return b"\x04" + x + y
 
     @staticmethod
     def _shared(ephemeral_public: bytes, recipient_public: bytes) -> bytes:

@@ -180,6 +180,183 @@ def budget_available_reference(spends, now, max_per_second):
     return max_per_second - in_window
 
 
+# -- beacon receiver reference ------------------------------------------------------------
+
+
+def receiver_reference(schedule, senders, *, queue_capacity, pending_capacity,
+                       budget_per_second, freshness_window_ms, expiry_ms):
+    """Replays a reception schedule on a plain model of the beacon receiver
+    and returns everything the receiver reports.
+
+    ``senders[s]`` describes sender ``s``'s own certificate: ``trusted``
+    (issued by the authority the receiver trusts) and ``validity_end`` (its
+    validity starts at 0). ``schedule`` is a time-ordered list of events:
+
+    * ``("rx", now, beacon, s, generation_time, attached, sig_good,
+      bind_good)``: beacon number ``beacon`` claims sender ``s``'s pseudonym
+      id and may carry a certificate (``attached``). With ``bind_good`` it is
+      ``s``'s own: ``s``'s certificate, signed with ``s``'s key. Without, an
+      impostor sent it: the certificate it carries is a trusted, valid one
+      that names another pseudonym, and it is signed with that certificate's
+      key. ``sig_good`` says whether the signature is right for the key that
+      made it.
+    * ``("tick", now)``: spend the available budget on the queue.
+    * ``("sweep", now)``: expire silent neighbours.
+
+    The rules, restated from the receiver's documentation:
+
+    * A beacon generated more than the freshness window before or after
+      ``now`` is stale: on arrival it is discarded, at dequeue it is
+      discarded and still charged its units.
+    * Every fresh arrival creates or refreshes the neighbour entry of the id
+      it claims; the last-heard time never goes backwards.
+    * A trusted entry's beacon is discarded on arrival if its certificate has
+      expired (``now`` past its end), else queued as a 1-unit job. An
+      untrusted entry's beacon with a certificate is queued as a 2-unit first
+      contact. One without waits in the entry's pending buffer, which keeps
+      the newest ``pending_capacity``; the oldest is dropped.
+    * The queue holds ``queue_capacity`` jobs and drops the oldest when full.
+      It drains right after a beacon is queued and on every tick.
+    * The budget is ``budget_per_second`` minus the units spent in the last
+      second (a spend at t counts until t + 1000). Jobs run oldest first
+      while units are left; a first contact at the head with one unit left
+      waits, and so does everything behind it.
+    * A 1-unit job past its certificate's end is ``expired_certificate``;
+      otherwise its signature decides between delivery and
+      ``bad_signature`` (an impostor's signature never checks under the
+      sender's key).
+    * A first contact whose certificate is untrusted, outside its validity
+      or names another id is ``bad_certificate`` and costs 1 unit. Otherwise
+      it costs 2 and its signature decides. On delivery the entry, if it is
+      still in the table, becomes trusted until the certificate's end; the
+      first time, the ms since the entry's first beacon are a time-to-trust
+      sample. Its pending beacons are then queued behind it as 1-unit jobs,
+      except the stale ones, which are discarded.
+    * A sweep drops every entry silent for strictly longer than
+      ``expiry_ms``, and the beacons it was holding with it.
+    """
+    counts = {"received": 0, "delivered": 0, "evicted": 0, "pending_dropped": 0}
+    discards = {}
+    delivered = []
+    time_to_trust = []
+    units_by_second = {}
+    spends = []  # (time, units)
+    queue = []  # jobs, oldest first
+    table = {}  # sender -> {"first", "last", "trusted_until" (None: untrusted), "held"}
+
+    def discard(reason):
+        discards[reason] = discards.get(reason, 0) + 1
+
+    def stale(rx, now):
+        return abs(now - rx["generation_time"]) > freshness_window_ms
+
+    def enqueue(job):
+        if len(queue) == queue_capacity:
+            queue.pop(0)
+            counts["evicted"] += 1
+        queue.append(job)
+
+    def deliver(rx, now):
+        counts["delivered"] += 1
+        delivered.append((rx["beacon"], now))
+
+    def drain(now):
+        left = budget_per_second - sum(u for t, u in spends if t > now - 1000)
+        spent = 0
+        while queue and left > 0:
+            rx, first_contact, trusted_until = queue[0]
+            cost = 2 if first_contact else 1
+            if cost > left:
+                break
+            queue.pop(0)
+            if stale(rx, now):
+                discard("stale")
+            elif not first_contact:
+                if now > trusted_until:
+                    discard("expired_certificate")
+                elif rx["sig_good"] and rx["bind_good"]:
+                    deliver(rx, now)
+                else:
+                    discard("bad_signature")
+            else:
+                own = senders[rx["sender"]]
+                if not (rx["bind_good"] and own["trusted"] and now <= own["validity_end"]):
+                    discard("bad_certificate")
+                    cost = 1
+                elif not rx["sig_good"]:
+                    discard("bad_signature")
+                else:
+                    entry = table.get(rx["sender"])
+                    held = []
+                    if entry is not None:
+                        if entry["trusted_until"] is None:
+                            time_to_trust.append(now - entry["first"])
+                        entry["trusted_until"] = own["validity_end"]
+                        held, entry["held"] = entry["held"], []
+                    deliver(rx, now)
+                    for waiting in held:
+                        if stale(waiting, now):
+                            discard("stale")
+                        else:
+                            enqueue((waiting, False, own["validity_end"]))
+            left -= cost
+            spent += cost
+        if spent:
+            spends.append((now, spent))
+            units_by_second[now // 1000] = units_by_second.get(now // 1000, 0) + spent
+
+    for event in schedule:
+        kind, now = event[0], event[1]
+        if kind == "tick":
+            drain(now)
+        elif kind == "sweep":
+            for sender in [s for s, e in table.items() if e["last"] < now - expiry_ms]:
+                counts["pending_dropped"] += len(table.pop(sender)["held"])
+        elif kind == "rx":
+            _, _, beacon, sender, generation_time, attached, sig_good, bind_good = event
+            rx = {"beacon": beacon, "sender": sender, "generation_time": generation_time,
+                  "sig_good": sig_good, "bind_good": bind_good}
+            counts["received"] += 1
+            if stale(rx, now):
+                discard("stale")
+                continue
+            entry = table.get(sender)
+            if entry is None:
+                entry = table[sender] = {"first": now, "last": now, "trusted_until": None,
+                                         "held": []}
+            entry["last"] = max(entry["last"], now)
+            if entry["trusted_until"] is not None:
+                if now > entry["trusted_until"]:
+                    discard("expired_certificate")
+                    continue
+                enqueue((rx, False, entry["trusted_until"]))
+            elif attached:
+                enqueue((rx, True, None))
+            else:
+                entry["held"].append(rx)
+                if len(entry["held"]) > pending_capacity:
+                    entry["held"].pop(0)
+                    counts["pending_dropped"] += 1
+                continue
+            drain(now)
+        else:
+            raise AssertionError(f"oracle got unknown event {kind!r}")
+
+    return {
+        "delivered": delivered,
+        "received": counts["received"],
+        "delivered_count": counts["delivered"],
+        "discards": discards,
+        "evicted": counts["evicted"],
+        "pending_dropped": counts["pending_dropped"],
+        "queued": len(queue),
+        "pending": sum(len(e["held"]) for e in table.values()),
+        "neighbors": len(table),
+        "units_by_second": units_by_second,
+        "time_to_trust": time_to_trust,
+    }
+
+
 def pkcs7_ecies_length(plaintext_len, point_len=57, iv_len=16, tag_len=20, block=16):
     """Envelope size: ephemeral point, IV, padded CBC body, MAC tag.
 

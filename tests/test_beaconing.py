@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import struct
+from functools import cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2xsec.beaconing import (
     BEACON_BODY_LEN,
@@ -17,7 +20,6 @@ from v2xsec.beaconing import (
     BeaconSecurity,
     BeaconingError,
     MalformedBeaconError,
-    NeighborTable,
     NoActivePseudonymError,
     OmissionStrategy,
     SecuredBeacon,
@@ -35,7 +37,7 @@ from v2xsec.identity import (
 )
 from v2xsec.suites import FastHashSuite
 
-from .oracles import attach_trace_reference, budget_available_reference
+from .oracles import attach_trace_reference, budget_available_reference, receiver_reference
 
 
 def _beacon(now=0, heading=0.0, payload=b""):
@@ -189,6 +191,16 @@ def test_decide_attach_basics():
     assert decide_attach(periodic, 1, 1, False)
 
 
+def _signed_as(signer, pseudonym_id, beacon, certificate=None, good=True):
+    """``beacon`` claiming ``pseudonym_id``, signed with ``signer``'s active
+    key; unless ``good``, the signature covers other bytes."""
+    body = beacon.pack()
+    blob = signer.hsm.sign_and_timestamp(signer.identity.active.key_id,
+                                         body if good else body[::-1])
+    return SecuredBeacon(beacon, pseudonym_id, blob, certificate,
+                         signed_payload(body, blob.timestamp))
+
+
 def _strategy_for(variant, alpha, beta):
     if variant == "always":
         return OmissionStrategy.always()
@@ -199,7 +211,8 @@ def _strategy_for(variant, alpha, beta):
 
 def test_attachment_matches_trace_reference(fast_suite, ca):
     """Drive a real sender through random change/neighbor/send traces and
-    compare every attach decision with the straight-line replay."""
+    compare every attach decision with the straight-line replay. A new
+    neighbor is a received beacon under a pseudonym id not heard before."""
     rng = Random(0xA77AC4)
     checked = 0
     for trial in range(60):
@@ -221,7 +234,8 @@ def test_attachment_matches_trace_reference(fast_suite, ca):
                 sender.identity.activate_next(now)
             elif kind == "neighbor":
                 fake_pid += 1
-                sender.neighbors.observe(struct.pack(">I", fake_pid), now)
+                sender.on_receive(_signed_as(sender, struct.pack(">I", fake_pid), _beacon(now)),
+                                  now)
             else:
                 sb = sender.make_beacon(_beacon(now), now)
                 got.append(sb.certificate is not None)
@@ -271,28 +285,40 @@ def test_beta_arms_for_pseudonyms_activated_after_construction(fast_suite, ca):
 # -- neighbor table ------------------------------------------------------------------
 
 
-def test_neighbor_table_marks_and_expiry():
-    table = NeighborTable(expiry_ms=3000)
-    assert not table.new_since_mark
-    table.observe(b"\x00\x00\x00\x01", 0)
-    assert table.new_since_mark
-    table.mark_beacon_sent()
-    table.observe(b"\x00\x00\x00\x01", 100)  # refresh, not new
-    assert not table.new_since_mark
+def test_neighbor_table_marks_and_expiry(sender, fast_suite, ca):
+    """A sender heard for the first time sets the new-neighbor flag, which
+    the next own beacon reads and clears; its entry survives exactly
+    ``neighbor_expiry_ms`` of silence and is dropped one ms later."""
+    receiver = _vehicle(fast_suite, ca, seed=302, neighbor_expiry_ms=3000,
+                        strategy=OmissionStrategy.neighbor_triggered())
+    assert receiver.make_beacon(_beacon(0), 0).certificate is None
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)
+    assert receiver.make_beacon(_beacon(50), 50).certificate is not None
+    assert receiver.make_beacon(_beacon(60), 60).certificate is None  # cleared
+    receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100)  # refresh, not new
+    assert receiver.make_beacon(_beacon(150), 150).certificate is None
 
-    assert table.sweep(3100) == []  # silent for exactly expiry_ms: kept
-    assert [e.pseudonym_id for e in table.sweep(3101)] == [b"\x00\x00\x00\x01"]
-    assert len(table) == 0
+    receiver.neighbor_maintenance(3100)  # silent for exactly expiry_ms: kept
+    assert len(receiver.neighbors) == 1
+    assert receiver.neighbors.get(sender.identity.active.pseudonym_id) is not None
+    receiver.neighbor_maintenance(3101)
+    assert len(receiver.neighbors) == 0
+    receiver.on_receive(sender.make_beacon(_beacon(3200), 3200), 3200)  # new again
+    assert receiver.make_beacon(_beacon(3250), 3250).certificate is not None
 
     with pytest.raises(BeaconingError):
-        NeighborTable(expiry_ms=0)
+        _vehicle(fast_suite, ca, seed=302, neighbor_expiry_ms=0)
 
 
-def test_neighbor_last_seen_never_regresses():
-    table = NeighborTable()
-    entry = table.observe(b"\x00\x00\x00\x02", 500)
-    table.observe(b"\x00\x00\x00\x02", 400)
-    assert entry.last_seen == 500
+def test_neighbor_last_seen_never_regresses(sender, receiver):
+    receiver.on_receive(sender.make_beacon(_beacon(500), 500), 500)
+    receiver.on_receive(sender.make_beacon(_beacon(400), 400), 400)
+    entry = receiver.neighbors.get(sender.identity.active.pseudonym_id)
+    assert entry.first_seen == 500 and entry.last_seen == 500
+    receiver.neighbor_maintenance(3500)  # 3000 ms after 500, not after 400
+    assert len(receiver.neighbors) == 1
+    receiver.neighbor_maintenance(3501)
+    assert len(receiver.neighbors) == 0
 
 
 # -- verification budget ---------------------------------------------------------------
@@ -373,7 +399,7 @@ def test_first_contact_with_certificate_delivers(sender, receiver):
     assert receiver.delivered_log == [(sb, 10)]
     assert receiver.units_used == 2  # certificate check + signature check
     entry = receiver.neighbors.get(sb.signer_pseudonym_id)
-    assert entry.verified and entry.public_key is not None
+    assert entry.public_key == sb.certificate.subject_public_key
     _assert_funnel(receiver)
 
 
@@ -622,7 +648,7 @@ def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca)
     receiver.verification_step(1200)
     assert receiver.delivered_count == 1
     assert receiver.discards == {"stale": 1}
-    assert not receiver.neighbors.get(first.signer_pseudonym_id).verified
+    assert receiver.neighbors.get(first.signer_pseudonym_id).public_key is None
     assert receiver.time_to_trust_ms == [0]  # the other vehicle's only
     assert receiver.units_by_second == {0: 2, 1: 2}  # charged both units
     _assert_funnel(receiver)
@@ -650,6 +676,107 @@ def test_time_to_trust_runs_from_first_beacon_to_verified_certificate(sender, fa
     receiver.verification_step(1300)
     assert receiver.queue_depth == 0 and receiver.delivered_count == 4
     assert receiver.time_to_trust_ms == [300, 900]
+    _assert_funnel(receiver)
+
+
+# -- the receiver against its reference ------------------------------------------------
+
+# Each sender's own certificate: trusted, trusted until t=2600 (a schedule
+# starts between t=1300 and t=2500), or from an authority the receiver does
+# not trust.
+_REFERENCE_SENDERS = [
+    {"trusted": True, "validity_end": 10**10},
+    {"trusted": True, "validity_end": 10**10},
+    {"trusted": True, "validity_end": 2600},
+    {"trusted": False, "validity_end": 10**10},
+]
+
+
+@cache
+def _reference_stations():
+    """The trusted authority and one signing station per reference sender,
+    plus an impostor whose valid certificate names its own pseudonym."""
+    suite = FastHashSuite()
+    ca = CertificateAuthority(1, suite=suite, rng=Random(11))
+    rogue = CertificateAuthority(9, suite=suite, rng=Random(999))
+    stations = [_vehicle(suite, ca if own["trusted"] else rogue, seed=500 + 2 * s, pool=1,
+                         validity_ms=own["validity_end"])
+                for s, own in enumerate(_REFERENCE_SENDERS)]
+    impostor = _vehicle(suite, ca, seed=600, pool=1)
+    return suite, ca, stations, impostor
+
+
+def _reference_beacon(number, sender, generation_time, attached, sig_good, bind_good):
+    _, _, stations, impostor = _reference_stations()
+    signer = stations[sender] if bind_good else impostor
+    beacon = Beacon(x=1.5, y=0.0, velocity=30.0, heading=0.0,
+                    generation_time=generation_time, payload=struct.pack(">Q", number))
+    return _signed_as(signer, stations[sender].identity.active.pseudonym_id, beacon,
+                      signer.identity.active.certificate if attached else None, sig_good)
+
+
+_events = st.lists(st.tuples(
+    st.sampled_from(["rx", "rx", "rx", "rx", "tick", "sweep"]),
+    st.integers(0, 300),  # ms since the previous event
+    st.integers(0, len(_REFERENCE_SENDERS) - 1),
+    st.one_of(st.integers(0, 100), st.integers(-1100, 1300)),  # age at arrival
+    st.booleans(),  # certificate attached
+    st.sampled_from([True, True, True, False]),  # signature good
+    st.sampled_from([True, True, True, False]),  # id binding good
+), min_size=8, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue_capacity=st.integers(1, 4), pending_capacity=st.integers(1, 3),
+       budget=st.integers(1, 5), expiry_ms=st.sampled_from([300, 1000, 3000]),
+       start=st.integers(1300, 2500), events=_events)
+def test_receiver_matches_reference(queue_capacity, pending_capacity, budget, expiry_ms,
+                                    start, events):
+    """A receiver driven through receptions, verification ticks and neighbour
+    sweeps delivers the same beacons at the same times, keeps the same
+    counters and records the same times to trust as the straight-line
+    model."""
+    suite, ca, _, _ = _reference_stations()
+    delivered = []
+    receiver = _vehicle(suite, ca, seed=700, pool=1,
+                        deliver=lambda sb, now: delivered.append(
+                            (struct.unpack(">Q", sb.beacon.payload)[0], now)),
+                        neighbor_expiry_ms=expiry_ms, budget_per_second=budget,
+                        queue_capacity=queue_capacity, pending_capacity=pending_capacity,
+                        freshness_window_ms=1000)
+    schedule = []
+    now = start
+    for number, (kind, gap, sender, age, attached, sig_good, bind_good) in enumerate(events):
+        now += gap
+        if kind == "rx":
+            receiver.on_receive(_reference_beacon(number, sender, now - age, attached,
+                                                  sig_good, bind_good), now)
+            schedule.append((kind, now, number, sender, now - age, attached, sig_good,
+                             bind_good))
+        elif kind == "tick":
+            receiver.verification_step(now)
+            schedule.append((kind, now))
+        else:
+            receiver.neighbor_maintenance(now)
+            schedule.append((kind, now))
+
+    expected = receiver_reference(
+        schedule, _REFERENCE_SENDERS, queue_capacity=queue_capacity,
+        pending_capacity=pending_capacity, budget_per_second=budget,
+        freshness_window_ms=1000, expiry_ms=expiry_ms)
+    assert {
+        "delivered": delivered,
+        "received": receiver.beacons_received,
+        "delivered_count": receiver.delivered_count,
+        "discards": receiver.discards,
+        "evicted": receiver.evicted_jobs,
+        "pending_dropped": receiver.pending_dropped,
+        "queued": receiver.queue_depth,
+        "pending": receiver.pending_count,
+        "neighbors": len(receiver.neighbors),
+        "units_by_second": receiver.units_by_second,
+        "time_to_trust": receiver.time_to_trust_ms,
+    } == expected
     _assert_funnel(receiver)
 
 

@@ -700,8 +700,9 @@ def test_percentile_matches_numpy(values, q):
 
 def test_a_fast_run_loads_only_what_it_runs():
     """numpy (tests only), cryptography (P-224 and ECIES), the process pool
-    (parallel sweeps) and the hook framework stay unloaded by importing the
-    package and running ``smoke.ini``."""
+    (parallel sweeps), the hook framework and the self-tests with the gateway
+    they check stay unloaded by importing the package and running
+    ``smoke.ini``."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(here, "src")
     inherited = os.environ.get("PYTHONPATH")
@@ -709,7 +710,7 @@ def test_a_fast_run_loads_only_what_it_runs():
     code = ("import sys, v2xsec, v2xsec.sim.engine, v2xsec.cli; "
             "v2xsec.cli.main(['run', '--scenario', sys.argv[1]]); "
             "heavy = ('numpy', 'cryptography', 'concurrent.futures.process', 'multiprocessing', "
-            "'v2xsec.hooks'); "
+            "'v2xsec.hooks', 'v2xsec.selftest', 'v2xsec.gateway'); "
             "print(sorted(m for m in sys.modules if m.startswith(heavy)))")
     result = subprocess.run(
         [sys.executable, "-c", code, os.path.join(here, "scenarios", "smoke.ini")],
