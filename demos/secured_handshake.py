@@ -7,6 +7,10 @@ have offered on first contact, so Alice's beacon parks in Carol's pending
 buffer. Hearing Alice is itself the trigger for Carol, though: her very
 first beacon goes out with the certificate attached, and one round later
 Alice reciprocates, releasing the buffered beacon.
+
+Each station trusts exactly the root installed in its own HSM: the
+certificate authority's key goes in once, and the security layer, built
+from the station's identity alone, checks every first contact under it.
 """
 
 from random import Random
@@ -23,12 +27,12 @@ SUITE = get_suite("p224")
 def station(name, ca, seed, log):
     clock = VirtualClock(0)
     hsm = Hsm(clock, SUITE, Random(seed))
-    hsm.install_factory_root(ca.public_key)
+    hsm.install_factory_root(ca.public_key)  # the station's only trust anchor
     manager = IdentityManager(hsm, rng=Random(seed + 1))
     manager.provision(ca, count=3, validity_ms=10**9)
     manager.activate_next(0)
     return BeaconSecurity(
-        hsm, manager, ca.public_key,
+        manager,
         OmissionStrategy.neighbor_triggered(beta=1),
         deliver=lambda sb, now: log.append((name, now, sb.signer_pseudonym_id.hex())),
     )

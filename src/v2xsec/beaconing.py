@@ -10,11 +10,11 @@ quickly.
 Receivers keep a neighbor table, a dict keyed by short pseudonym ids, and
 push all cryptographic checks through one budgeted FIFO verification queue (a
 few dozen verifications per second is all a realistic onboard unit can
-afford). On first contact the job checks the attached certificate and that it
-is the one the claimed id names, then the signature under its key: the same
-signature check a known sender's beacon gets under the cached key. Beacons
-reach the application only after that check: unverified traffic stays
-pending and is never delivered. Freshness and certificate validity are
+afford). On first contact the job checks the attached certificate under the
+root of trust in the receiver's own HSM and that it is the one the claimed id
+names, then the signature under its key: the same signature check a known
+sender's beacon gets under the cached key. Beacons reach the application only
+after that check: unverified traffic stays pending and is never delivered. Freshness and certificate validity are
 checked on arrival and again when a job reaches the queue head, so nothing
 goes stale waiting for its turn. The neighbor table is the only per-neighbor
 state: an entry holds the verified key (None until trusted), the beacons
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .hsm import SIGNED_BLOB_LEN, TIMESTAMP_LEN, Hsm, SignedBlob, signed_payload
+from .hsm import SIGNED_BLOB_LEN, TIMESTAMP_LEN, SignedBlob, signed_payload
 from .identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -310,11 +310,16 @@ DeliverCallback = Callable[[SecuredBeacon, int], None]
 class BeaconSecurity:
     """Per-vehicle send and receive security processing for beacons.
 
+    Everything comes from ``identity``: its pseudonyms sign, and its HSM
+    supplies the suite and the root of trust, read at each first-contact
+    certificate check (an HSM with no root fails here with
+    ``RootStateError``). After a root update, neighbors already trusted keep
+    their cached key until their certificate or their table entry expires.
+
     All methods take explicit times in ms so a simulation can drive many
     instances deterministically. Delivery to the application happens only
     through the ``deliver`` callback, and only for beacons whose signature
-    chain has fully verified (the trust gate). Certificates and signatures
-    are checked with the HSM's own signature suite.
+    chain has fully verified (the trust gate).
 
     Receive calls return None; what became of each beacon is in the
     counters. ``beacons_received`` always equals ``delivered_count`` plus
@@ -326,9 +331,7 @@ class BeaconSecurity:
 
     def __init__(
         self,
-        hsm: Hsm,
         identity: IdentityManager,
-        issuer_public_key: bytes,
         strategy: OmissionStrategy,
         deliver: DeliverCallback | None = None,
         neighbor_expiry_ms: int = 3000,
@@ -341,9 +344,9 @@ class BeaconSecurity:
             raise BeaconingError("capacities must be positive")
         if neighbor_expiry_ms <= 0:
             raise BeaconingError("neighbor expiry must be positive")
-        self.hsm = hsm
+        self.hsm = hsm = identity.hsm
+        hsm.active_root  # raises RootStateError before any beacon arrives
         self.identity = identity
-        self.issuer_public_key = issuer_public_key
         self.strategy = strategy
         self.deliver = deliver
         # Neighbors by pseudonym id. An entry expires strictly after
@@ -497,16 +500,17 @@ class BeaconSecurity:
 
         Each job's fate lands in the counters and, when it verifies, in the
         delivery callback. A first contact costs two units: its attached
-        certificate must verify and be the one the claimed pseudonym id names
-        (the signature does not cover the id), or the job is discarded for
-        one unit without trying the signature; its subject key then checks
-        the signature like a known key's. A job that went stale while it
-        waited, or whose cached key's certificate expired, is discarded
-        without a curve operation but is still charged its units, so the
-        queue drains at the rate the budget sets. All units spent here carry
-        the same timestamp, so they are charged to the budget in one entry at
-        the end. A drain that uses up the budget records when it refills; no
-        drain before then could verify anything, so callers skip it.
+        certificate must verify under the HSM's active root and be the one
+        the claimed pseudonym id names (the signature does not cover the id),
+        or the job is discarded for one unit without trying the signature;
+        its subject key then checks the signature like a known key's. A job
+        that went stale while it waited, or whose cached key's certificate
+        expired, is discarded without a curve operation but is still charged
+        its units, so the queue drains at the rate the budget sets. All units
+        spent here carry the same timestamp, so they are charged to the
+        budget in one entry at the end. A drain that uses up the budget
+        records when it refills; no drain before then could verify anything,
+        so callers skip it.
         """
         queue = self._queue
         budget = self.budget
@@ -529,7 +533,7 @@ class BeaconSecurity:
             if first_contact:
                 cert = sb.certificate
                 if sb.signer_pseudonym_id != cert.pseudonym_id() or not verify_certificate(
-                        cert, self.issuer_public_key, now, suite):
+                        cert, self.hsm.active_root, now, suite):
                     self._discard("bad_certificate")
                     left += 1
                     continue

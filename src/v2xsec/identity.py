@@ -48,6 +48,13 @@ class PoolEmptyError(IdentityError):
     """Raised when a pseudonym change is requested with no provisioned spare."""
 
 
+def _tbs_bytes(issuer_id: int, validity_start: int, validity_end: int,
+               subject_public_key: bytes) -> bytes:
+    """The signed fields of a certificate, as they go on the wire."""
+    return (struct.pack(">BIQQ", CERT_VERSION, issuer_id, validity_start, validity_end)
+            + subject_public_key)
+
+
 @dataclass(frozen=True)
 class CompactCertificate:
     """Minimal beacon-sized certificate binding a pseudonym key to an issuer."""
@@ -59,11 +66,8 @@ class CompactCertificate:
     signature: bytes
 
     def tbs_bytes(self) -> bytes:
-        return (
-            struct.pack(">BIQQ", CERT_VERSION, self.issuer_id,
-                        self.validity_start, self.validity_end)
-            + self.subject_public_key
-        )
+        return _tbs_bytes(self.issuer_id, self.validity_start, self.validity_end,
+                          self.subject_public_key)
 
     def to_bytes(self) -> bytes:
         # The fields are frozen, so pack the 142 wire bytes once.
@@ -129,21 +133,9 @@ class CertificateAuthority:
             raise IdentityError("validity window is inverted")
         if len(subject_public_key) != POINT_LEN:
             raise IdentityError("subject key must be a 57-byte uncompressed point")
-        tbs = CompactCertificate(
-            issuer_id=self.issuer_id,
-            validity_start=validity_start,
-            validity_end=validity_end,
-            subject_public_key=subject_public_key,
-            signature=b"",
-        )
-        sig = self.suite.sign(self._private, tbs.tbs_bytes())
-        return CompactCertificate(
-            issuer_id=self.issuer_id,
-            validity_start=validity_start,
-            validity_end=validity_end,
-            subject_public_key=subject_public_key,
-            signature=sig,
-        )
+        tbs = _tbs_bytes(self.issuer_id, validity_start, validity_end, subject_public_key)
+        return CompactCertificate(self.issuer_id, validity_start, validity_end,
+                                  subject_public_key, self.suite.sign(self._private, tbs))
 
 
 # -- pseudonym lifecycle ---------------------------------------------------------

@@ -184,9 +184,7 @@ class HighwaySimulation:
             identity = IdentityManager(hsm, rng=rng, policy=policy)
             identity.provision(ca, config.pool_size, validity_ms)
             bsec = BeaconSecurity(
-                hsm,
                 identity,
-                ca.public_key,
                 strategy,
                 deliver=self._make_deliver(vid),
                 neighbor_expiry_ms=config.neighbor_expiry_ms,

@@ -27,7 +27,7 @@ from v2xsec.beaconing import (
     decide_attach,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, signed_payload
+from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, RootStateError, authorize_root_update, signed_payload
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -55,8 +55,7 @@ def _vehicle(suite, ca, seed, strategy=None, deliver=None, pool=4, validity_ms=1
     manager.activate_next(0)
     if strategy is None:
         strategy = OmissionStrategy.always()
-    return BeaconSecurity(hsm, manager, ca.public_key, strategy,
-                          deliver=deliver, **kwargs)
+    return BeaconSecurity(manager, strategy, deliver=deliver, **kwargs)
 
 
 def _assert_funnel(bsec):
@@ -276,7 +275,7 @@ def test_beta_arms_for_pseudonyms_activated_after_construction(fast_suite, ca):
     hsm.install_factory_root(ca.public_key)
     manager = IdentityManager(hsm, rng=Random(71))
     manager.provision(ca, 2, validity_ms=10**10)
-    after = BeaconSecurity(hsm, manager, ca.public_key, strategy)
+    after = BeaconSecurity(manager, strategy)
     manager.activate_next(0)
     assert [after.make_beacon(_beacon(t), t).certificate is not None
             for t in range(3)] == [True, True, False]
@@ -681,13 +680,14 @@ def test_time_to_trust_runs_from_first_beacon_to_verified_certificate(sender, fa
 
 # -- the receiver against its reference ------------------------------------------------
 
-# Each sender's own certificate: trusted, trusted until t=2600 (a schedule
-# starts between t=1300 and t=2500), or from an authority the receiver does
-# not trust.
+# Each sender's own certificate: trusted, trusted until t=2600 or t=3400 (a
+# schedule starts between t=1300 and t=2500, so both can expire while it
+# runs), or from an authority the receiver does not trust.
 _REFERENCE_SENDERS = [
     {"trusted": True, "validity_end": 10**10},
     {"trusted": True, "validity_end": 10**10},
     {"trusted": True, "validity_end": 2600},
+    {"trusted": True, "validity_end": 3400},
     {"trusted": False, "validity_end": 10**10},
 ]
 
@@ -811,9 +811,40 @@ def test_make_beacon_requires_active_pseudonym(fast_suite, ca):
     hsm.install_factory_root(ca.public_key)
     manager = IdentityManager(hsm, rng=Random(6))
     manager.provision(ca, 1, validity_ms=10**6)
-    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always())
+    bsec = BeaconSecurity(manager, OmissionStrategy.always())
     with pytest.raises(NoActivePseudonymError):
         bsec.make_beacon(_beacon(), 0)
+
+
+def test_security_layer_needs_a_root_in_its_hsm(fast_suite, ca):
+    hsm = Hsm(VirtualClock(0), fast_suite, Random(5))
+    manager = IdentityManager(hsm, rng=Random(6))
+    manager.provision(ca, 1, validity_ms=10**6)
+    with pytest.raises(RootStateError):
+        BeaconSecurity(manager, OmissionStrategy.always())
+
+
+def test_first_contact_trusts_the_hsm_root_after_a_rotation(fast_suite, ca):
+    """Once the receiver's HSM takes a root update signed by the current
+    root, a first contact certified by the retired authority is discarded
+    and one certified by the new authority is delivered."""
+    new_ca = CertificateAuthority(2, suite=fast_suite, rng=Random(13))
+    delivered = []
+    receiver = _vehicle(fast_suite, ca, seed=800,
+                        deliver=lambda sb, now: delivered.append(sb))
+    # the retiring authority signs the update with the key the HSM holds as root
+    update = authorize_root_update(fast_suite, ca._private, new_ca.public_key)
+    assert receiver.hsm.install_root_key(update)
+
+    retired = _vehicle(fast_suite, ca, seed=810)
+    receiver.on_receive(retired.make_beacon(_beacon(0), 0), 0)
+    assert receiver.discards == {"bad_certificate": 1} and delivered == []
+
+    current = _vehicle(fast_suite, new_ca, seed=820)
+    sb = current.make_beacon(_beacon(10), 10)
+    receiver.on_receive(sb, 10)
+    assert delivered == [sb] and receiver.discards == {"bad_certificate": 1}
+    _assert_funnel(receiver)
 
 
 def test_units_by_second_bookkeeping(sender, receiver):

@@ -43,7 +43,7 @@ def _sample_beacon() -> SecuredBeacon:
     manager = IdentityManager(hsm, rng=Random(6))
     manager.provision(ca, 1, validity_ms=10**6)
     manager.activate_next(0)
-    bsec = BeaconSecurity(hsm, manager, ca.public_key, OmissionStrategy.always())
+    bsec = BeaconSecurity(manager, OmissionStrategy.always())
     beacon = Beacon(x=1.5, y=0.0, velocity=30.0, heading=0.0, generation_time=0)
     return bsec.make_beacon(beacon, 0)
 
