@@ -17,9 +17,10 @@ sender's beacon gets under the cached key. Beacons reach the application only
 after that check: unverified traffic stays pending and is never delivered. Freshness and certificate validity are
 checked on arrival and again when a job reaches the queue head, so nothing
 goes stale waiting for its turn. The neighbor table is the only per-neighbor
-state: an entry holds the verified key (None until trusted), the beacons
-awaiting a certificate, and the first-beacon time that time to trust runs
-from.
+state: an entry holds its trust pair of verified key and certificate end
+(None until trusted), the beacons awaiting a certificate, and the
+first-beacon time that time to trust runs from. Two bounded deques in
+lockstep hold each queued job's beacon and trust pair: no object per job.
 
 A beacon's fate is usually settled in a later drain of the queue, not in the
 call that received it, so receive calls return nothing: the receiver's
@@ -243,18 +244,17 @@ class SecuredBeacon:
 class NeighborEntry:
     """One sender pseudonym, from its first reception until it has been
     silent for longer than the expiry. Until its certificate verifies,
-    ``public_key`` is None and ``held`` keeps its certless beacons (a bounded
-    deque, made on first use); afterwards ``public_key`` and ``validity_end``
-    come from the certificate."""
+    ``trust`` is None and ``held`` keeps its certless beacons (a list made
+    with the first, dropping the oldest past the pending capacity);
+    afterwards ``trust`` is the certificate's ``(public_key, validity_end)``."""
 
-    __slots__ = ("first_seen", "last_seen", "public_key", "validity_end", "held")
+    __slots__ = ("first_seen", "last_seen", "trust", "held")
 
     def __init__(self, now: int) -> None:
         self.first_seen = now
         self.last_seen = now
-        self.public_key: bytes | None = None
-        self.validity_end = 0
-        self.held: deque[SecuredBeacon] | None = None
+        self.trust: _Trust | None = None
+        self.held: list[SecuredBeacon] | None = None
 
 
 # -- budgeted verification -----------------------------------------------------------
@@ -293,12 +293,12 @@ class VerificationBudget:
         return window[0][0] + 1000 if window else 0
 
 
-# A verification job is a ``(beacon, public_key, validity_end)`` triple. A
-# known key means one signature check (1 unit), valid until the end of its
-# certificate's validity; ``None`` means first contact, where the attached
-# certificate is checked first and its subject key then verifies the
-# signature (2 units).
-_Job = tuple[SecuredBeacon, bytes | None, int]
+# A verification job is a beacon and, at the same position of a second queue,
+# the trust pair it was queued under: ``(public_key, validity_end)`` means one
+# signature check (1 unit) under that key until its certificate ends; ``None``
+# means first contact, where the attached certificate is checked first and its
+# subject key then verifies the signature (2 units).
+_Trust = tuple[bytes, int]
 
 
 DeliverCallback = Callable[[SecuredBeacon, int], None]
@@ -360,7 +360,8 @@ class BeaconSecurity:
         self.pending_capacity = pending_capacity
         self.freshness_window_ms = freshness_window_ms
         self.suite = hsm.suite
-        self._queue: deque[_Job] = deque(maxlen=queue_capacity)
+        self._queue: deque[SecuredBeacon] = deque(maxlen=queue_capacity)
+        self._queued_trust: deque[_Trust | None] = deque(maxlen=queue_capacity)
         # Before this time the budget stays spent and no queued job can run.
         self._idle_until = 0
         # the pseudonym active when the layer is built needs no repetitions
@@ -439,23 +440,26 @@ class BeaconSecurity:
             self._new_neighbor = True
         elif now > entry.last_seen:
             entry.last_seen = now
-        public_key = entry.public_key
-        if public_key is not None:
-            if now > entry.validity_end:
+        trust = entry.trust
+        if trust is not None:
+            if now > trust[1]:
                 self._discard("expired_certificate")
                 return
-            job = (sb, public_key, entry.validity_end)
-        elif sb.certificate is not None:
-            job = (sb, None, 0)
-        else:
+        elif sb.certificate is None:
             held = entry.held
             if held is None:
-                held = entry.held = deque(maxlen=self.pending_capacity)
-            elif len(held) == self.pending_capacity:
-                self.pending_dropped += 1  # the append drops the oldest
+                entry.held = [sb]
+                return
+            if len(held) == self.pending_capacity:
+                self.pending_dropped += 1
+                del held[0]
             held.append(sb)
             return
-        self._enqueue(job)
+        queue = self._queue
+        if len(queue) == self.queue_capacity:
+            self.evicted_jobs += 1  # the appends drop the oldest job
+        queue.append(sb)
+        self._queued_trust.append(trust)
         if now >= self._idle_until:
             self._drain(now)
 
@@ -490,16 +494,13 @@ class BeaconSecurity:
     def _discard(self, reason: str) -> None:
         self.discards[reason] = self.discards.get(reason, 0) + 1
 
-    def _enqueue(self, job: _Job) -> None:
-        if len(self._queue) == self.queue_capacity:
-            self.evicted_jobs += 1  # the append drops the oldest job
-        self._queue.append(job)
-
     def _drain(self, now: int) -> None:
         """Verify from the queue head while the budget lasts.
 
         Each job's fate lands in the counters and, when it verifies, in the
-        delivery callback. A first contact costs two units: its attached
+        delivery callback. A known-key job is checked under the trust pair
+        it was queued with, even if its neighbor entry has since expired or
+        been trusted anew. A first contact costs two units: its attached
         certificate must verify under the HSM's active root and be the one
         the claimed pseudonym id names (the signature does not cover the id),
         or the job is discarded for one unit without trying the signature;
@@ -513,6 +514,7 @@ class BeaconSecurity:
         so callers skip it.
         """
         queue = self._queue
+        queued_trust = self._queued_trust
         budget = self.budget
         left = start = budget.available(now)
         suite = self.suite
@@ -520,17 +522,16 @@ class BeaconSecurity:
         deliver = self.deliver
         window = self.freshness_window_ms
         while left > 0 and queue:
-            sb, public_key, validity_end = queue[0]
-            first_contact = public_key is None
-            if first_contact and left < 2:
-                break
-            queue.popleft()
-            left -= 2 if first_contact else 1
+            if left < 2 and queued_trust[0] is None:
+                break  # a first contact waits at the head for its two units
+            trust = queued_trust.popleft()
+            sb = queue.popleft()
+            left -= 2 if trust is None else 1
             delta = now - sb.beacon.generation_time
             if delta > window or -delta > window:
                 self._discard("stale")
                 continue
-            if first_contact:
+            if trust is None:
                 cert = sb.certificate
                 if sb.signer_pseudonym_id != cert.pseudonym_id() or not verify_certificate(
                         cert, self.hsm.active_root, now, suite):
@@ -539,10 +540,12 @@ class BeaconSecurity:
                     continue
                 public_key = cert.subject_public_key
                 validity_end = cert.validity_end
+            else:
+                public_key, validity_end = trust
             if now > validity_end:
                 self._discard("expired_certificate")
             elif verify(public_key, sb.signed_payload, sb.blob.signature):
-                if first_contact:
+                if trust is None:
                     self._trust(sb.signer_pseudonym_id, public_key, validity_end, now)
                 self.delivered_count += 1
                 if deliver is not None:
@@ -565,16 +568,19 @@ class BeaconSecurity:
         entry = self.neighbors.get(pid)
         if entry is None:
             return
-        if entry.public_key is None:
+        if entry.trust is None:
             self.time_to_trust_ms.append(now - entry.first_seen)
-        entry.public_key = public_key
-        entry.validity_end = validity_end
+        entry.trust = trust = (public_key, validity_end)
         held, entry.held = entry.held, None
         if held:
             window = self.freshness_window_ms
+            queue = self._queue
             for waiting in held:
                 delta = now - waiting.beacon.generation_time
                 if delta > window or -delta > window:
                     self._discard("stale")
-                else:
-                    self._enqueue((waiting, public_key, validity_end))
+                    continue
+                if len(queue) == self.queue_capacity:
+                    self.evicted_jobs += 1
+                queue.append(waiting)
+                self._queued_trust.append(trust)

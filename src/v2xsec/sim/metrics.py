@@ -136,11 +136,14 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 def write_csv(path: str, runs: list[RunMetrics]) -> None:
-    """Write one row per run, atomically."""
+    """Write one row per run, atomically, with the mode ``open`` would give
+    a new file under the process umask (``mkstemp`` alone gives 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(prefix=".metrics-", suffix=".csv", dir=directory)
     try:
+        os.umask(umask := os.umask(0))
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)

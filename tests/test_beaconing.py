@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from functools import cache
 from random import Random
 
@@ -398,7 +399,7 @@ def test_first_contact_with_certificate_delivers(sender, receiver):
     assert receiver.delivered_log == [(sb, 10)]
     assert receiver.units_used == 2  # certificate check + signature check
     entry = receiver.neighbors.get(sb.signer_pseudonym_id)
-    assert entry.public_key == sb.certificate.subject_public_key
+    assert entry.trust == (sb.certificate.subject_public_key, sb.certificate.validity_end)
     _assert_funnel(receiver)
 
 
@@ -602,6 +603,44 @@ def test_queue_eviction_drops_oldest(sender, fast_suite, ca):
     _assert_funnel(receiver)
 
 
+def _bytes_kept(receive, beacons, now):
+    """Bytes that receiving every one of ``beacons`` at ``now`` leaves allocated."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for sb in beacons:
+            receive(sb, now)
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_queued_known_key_job_allocates_no_object(sender, fast_suite, ca):
+    """A queued job costs its two queue slots (about 17 B), not an object of
+    its own."""
+    jobs = 1000
+    receiver = _vehicle(fast_suite, ca, seed=316, budget_per_second=2, queue_capacity=jobs)
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)  # trusted; budget spent
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    beacons = [sender.make_beacon(_beacon(100), 100) for _ in range(jobs)]
+    assert _bytes_kept(receiver.on_receive, beacons, 100) / jobs <= 24
+    assert receiver.queue_depth == jobs
+
+
+def test_stranger_holding_one_beacon_is_small(sender, fast_suite, ca):
+    """A new neighbor holding one certless beacon costs its table slot, its
+    entry and a one-item list (about 160 B), not a buffer sized for the
+    pending capacity."""
+    strangers = 1000
+    receiver = _vehicle(fast_suite, ca, seed=317)
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    sb = sender.make_beacon(_beacon(100), 100)
+    beacons = [SecuredBeacon(sb.beacon, n.to_bytes(PSEUDONYM_ID_LEN, "big"), sb.blob, None,
+                             sb.signed_payload) for n in range(strangers)]
+    assert _bytes_kept(receiver.on_receive, beacons, 100) / strangers <= 256
+    assert len(receiver.neighbors) == strangers and receiver.pending_count == strangers
+
+
 def test_queued_job_checks_certificate_validity_at_dequeue(fast_suite, ca):
     """A beacon queued while its sender's certificate was valid is discarded
     if the certificate has expired by the time the job reaches the head."""
@@ -618,6 +657,23 @@ def test_queued_job_checks_certificate_validity_at_dequeue(fast_suite, ca):
     assert receiver.discards == {"expired_certificate": 1}
     assert receiver.queue_depth == 0
     assert receiver.units_used == 3  # the discarded job is still charged its unit
+    _assert_funnel(receiver)
+
+
+def test_queued_job_keeps_its_key_after_the_entry_expires(sender, fast_suite, ca):
+    """A known-key job is verified under the key it was queued with, even
+    when its neighbour entry expires before the job reaches the head."""
+    receiver = _vehicle(fast_suite, ca, seed=318, budget_per_second=2,
+                        neighbor_expiry_ms=300)
+    receiver.on_receive(sender.make_beacon(_beacon(0), 0), 0)  # exhausts budget
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    receiver.on_receive(sender.make_beacon(_beacon(100), 100), 100)
+    receiver.neighbor_maintenance(500)
+    assert receiver.neighbors == {} and receiver.queue_depth == 1
+    receiver.verification_step(1000)
+    assert receiver.delivered_count == 2
+    assert receiver.discards == {}
+    assert receiver.units_by_second == {0: 2, 1: 1}
     _assert_funnel(receiver)
 
 
@@ -647,7 +703,7 @@ def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca)
     receiver.verification_step(1200)
     assert receiver.delivered_count == 1
     assert receiver.discards == {"stale": 1}
-    assert receiver.neighbors.get(first.signer_pseudonym_id).public_key is None
+    assert receiver.neighbors.get(first.signer_pseudonym_id).trust is None
     assert receiver.time_to_trust_ms == [0]  # the other vehicle's only
     assert receiver.units_by_second == {0: 2, 1: 2}  # charged both units
     _assert_funnel(receiver)

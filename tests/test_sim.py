@@ -659,6 +659,22 @@ def test_write_csv_fixed_columns(tmp_path):
     assert os.listdir(path.parent) == ["metrics.csv"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
+def test_write_csv_mode_follows_umask(tmp_path, umask, mode):
+    """The atomic write gives a new or overwritten file the mode a plain
+    ``open`` of a new file would, not the temporary file's 0600."""
+    path = tmp_path / "metrics.csv"
+    previous = os.umask(umask)
+    try:
+        write_csv(str(path), [])
+        assert path.stat().st_mode & 0o777 == mode
+        write_csv(str(path), [])  # overwriting keeps it
+        assert path.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(previous)
+    assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
 def test_write_csv_is_byte_identical_per_seed(tmp_path):
     config = _config(vehicle_count=3, duration_s=5.0, warmup_s=1.0)
     first = tmp_path / "a.csv"
