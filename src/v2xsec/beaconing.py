@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -173,6 +173,7 @@ def decide_attach(strategy: OmissionStrategy, beacons_sent: int,
 # -- secured beacon wire format ----------------------------------------------------
 
 
+@dataclass(slots=True)
 class SecuredBeacon:
     """A beacon plus its pseudonymous signature and optional certificate.
 
@@ -180,25 +181,11 @@ class SecuredBeacon:
     built once by the sender, sliced out of the wire bytes by the parser.
     """
 
-    __slots__ = ("beacon", "signer_pseudonym_id", "blob", "certificate", "signed_payload")
-
-    def __init__(self, beacon: Beacon, signer_pseudonym_id: bytes,
-                 blob: SignedBlob, certificate: CompactCertificate | None,
-                 signed_payload: bytes) -> None:
-        self.beacon = beacon
-        self.signer_pseudonym_id = signer_pseudonym_id
-        self.blob = blob
-        self.certificate = certificate
-        self.signed_payload = signed_payload
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SecuredBeacon)
-            and self.beacon == other.beacon
-            and self.signer_pseudonym_id == other.signer_pseudonym_id
-            and self.blob == other.blob
-            and self.certificate == other.certificate
-        )
+    beacon: Beacon
+    signer_pseudonym_id: bytes
+    blob: SignedBlob
+    certificate: CompactCertificate | None
+    signed_payload: bytes = field(compare=False, repr=False)
 
     def to_wire(self) -> bytes:
         cert = self.certificate

@@ -10,6 +10,7 @@ at a reserved top-priority band that static configuration cannot occupy.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 
@@ -58,9 +59,7 @@ class Firewall:
     """Ordered rule table with deny-by-default semantics."""
 
     def __init__(self) -> None:
-        self._rules: list[FirewallRule] = []
-        self._seq = 0
-        self._order: dict[FirewallRule, int] = {}
+        self._rules: list[FirewallRule] = []  # by priority, then insertion order
 
     @property
     def rules(self) -> list[FirewallRule]:
@@ -68,18 +67,14 @@ class Firewall:
 
     def add_rule(self, rule: FirewallRule) -> bool:
         """Insert a rule; re-adding an identical rule is a no-op (False)."""
-        if rule in self._order:
+        if rule in self._rules:
             return False
-        self._order[rule] = self._seq
-        self._seq += 1
-        self._rules.append(rule)
-        self._rules.sort(key=lambda r: (r.priority, self._order[r]))
+        bisect.insort(self._rules, rule, key=lambda r: r.priority)
         return True
 
     def remove_rule(self, rule: FirewallRule) -> bool:
-        if rule not in self._order:
+        if rule not in self._rules:
             return False
-        del self._order[rule]
         self._rules.remove(rule)
         return True
 

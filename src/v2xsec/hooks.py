@@ -19,6 +19,7 @@ link-layer address on a pseudonym change.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import struct
 from dataclasses import dataclass
@@ -48,12 +49,7 @@ class IlpPosition(IntEnum):
 
 
 # Order a message traverses the points when moving up toward the application.
-UP_ORDER = (
-    IlpPosition.ABOVE_MAC,
-    IlpPosition.BELOW_NETWORK,
-    IlpPosition.ABOVE_NETWORK,
-    IlpPosition.BELOW_APPLICATION,
-)
+UP_ORDER = tuple(IlpPosition)
 DOWN_ORDER = tuple(reversed(UP_ORDER))
 
 
@@ -168,39 +164,23 @@ class RawEthernetAdapter:
 # -- the hook stack -----------------------------------------------------------------
 
 
-class _Chain:
-    """Handlers at one ILP, kept in dispatch order."""
-
-    __slots__ = ("entries", "_seq")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, HandlerRegistration, Handler]] = []
-        self._seq = 0
-
-    def add(self, registration: HandlerRegistration, handler: Handler) -> None:
-        if any(reg.handler_id == registration.handler_id for _, _, reg, _ in self.entries):
-            raise DuplicateHandlerError(registration.handler_id)
-        self.entries.append((registration.priority, self._seq, registration, handler))
-        self.entries.sort(key=lambda e: (e[0], e[1]))
-        self._seq += 1
-
-    def matching(self, type_tag: int, direction: Direction) -> list[tuple[str, Handler]]:
-        return [(reg.handler_id, fn) for _, _, reg, fn in self.entries
-                if reg.matches(type_tag, direction)]
-
-
 class HookStack:
     """Fixed interception points with priority-ordered handler chains."""
 
     def __init__(self, adapter: RawEthernetAdapter | None = None) -> None:
-        self._chains: dict[IlpPosition, _Chain] = {p: _Chain() for p in IlpPosition}
+        # each point's handlers in dispatch order: priority, then registration
+        self._chains: dict[IlpPosition, list[tuple[HandlerRegistration, Handler]]] = {
+            p: [] for p in IlpPosition}
         self.adapter = adapter
 
     # registration
 
     def register_handler(self, position: IlpPosition,
                          registration: HandlerRegistration, handler: Handler) -> None:
-        self._chains[position].add(registration, handler)
+        chain = self._chains[position]
+        if any(reg.handler_id == registration.handler_id for reg, _ in chain):
+            raise DuplicateHandlerError(registration.handler_id)
+        bisect.insort(chain, (registration, handler), key=lambda e: e[0].priority)
 
     # dispatch
 
@@ -217,7 +197,8 @@ class HookStack:
         current = message
         reinserts = 0
         while True:
-            chain = self._chains[position].matching(current.type_tag, direction)
+            chain = [(reg.handler_id, fn) for reg, fn in self._chains[position]
+                     if reg.matches(current.type_tag, direction)]
             restart = False
             for handler_id, fn in chain:
                 try:

@@ -38,6 +38,7 @@ from .suites import (
     SIG_FIELD_LEN,
     SignatureSuite,
     SuiteError,
+    is_point,
     pad_signature,
     unpad_signature,
 )
@@ -277,7 +278,7 @@ class Hsm:
         return slot
 
     def _check_public(self, public_key: bytes) -> None:
-        if len(public_key) != POINT_LEN or public_key[:1] != b"\x04":
+        if not is_point(public_key):
             raise HsmError("public key must be a 57-byte uncompressed point")
 
     def _private_scalars(self) -> list[bytes]:

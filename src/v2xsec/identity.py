@@ -26,6 +26,7 @@ from .suites import (
     SIG_FIELD_LEN,
     SignatureSuite,
     SuiteError,
+    is_point,
     pad_signature,
     unpad_signature,
 )
@@ -107,7 +108,7 @@ def verify_certificate(
     """Signature plus validity-window check; malformed input is just False."""
     if not (cert.validity_start <= now <= cert.validity_end):
         return False
-    if len(cert.subject_public_key) != POINT_LEN:
+    if not is_point(cert.subject_public_key):
         return False
     return suite.verify(issuer_public_key, cert.tbs_bytes(), cert.signature)
 
@@ -131,7 +132,7 @@ class CertificateAuthority:
               validity_end: int) -> CompactCertificate:
         if validity_end < validity_start:
             raise IdentityError("validity window is inverted")
-        if len(subject_public_key) != POINT_LEN:
+        if not is_point(subject_public_key):
             raise IdentityError("subject key must be a 57-byte uncompressed point")
         tbs = _tbs_bytes(self.issuer_id, validity_start, validity_end, subject_public_key)
         return CompactCertificate(self.issuer_id, validity_start, validity_end,

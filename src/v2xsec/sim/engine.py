@@ -56,16 +56,16 @@ from ..suites import VerdictMemo, get_suite
 from .metrics import CrashEvent, EmissionRecord, RunMetrics
 from .scenario import ScenarioConfig
 
-# Event kinds in tie-break order: mobility first, then braking state changes,
-# then emissions, deliveries, and finally verification work at the same time.
-# The end of the run follows every other event at its time.
+# Event kinds in tie-break order: mobility first, then brake onsets (vehicle
+# 0's scripted one, then the followers' by id), then emissions, deliveries,
+# and finally verification work at the same time. The end of the run follows
+# every other event at its time.
 _K_TICK = 0
-_K_BRAKE_TRIGGER = 1
-_K_BRAKE_START = 2
-_K_EMIT = 3
-_K_DELIVER = 4
-_K_VERIFY = 5
-_K_END = 6
+_K_BRAKE = 1
+_K_EMIT = 2
+_K_DELIVER = 3
+_K_VERIFY = 4
+_K_END = 5
 
 _VERIFY_TICK_MS = 100
 
@@ -82,11 +82,6 @@ def stream_rng(seed: int, stream: str) -> Random:
     """Named deterministic substream of the scenario seed."""
     digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
     return Random(int.from_bytes(digest[:8], "big"))
-
-
-def _strategy_from_config(config: ScenarioConfig) -> OmissionStrategy:
-    variant = OmissionVariant(config.strategy)
-    return OmissionStrategy(variant, alpha=config.alpha, beta=config.beta)
 
 
 class _Node:
@@ -135,9 +130,7 @@ class HighwaySimulation:
 
         self.crashed = [False] * n
         self.emergency = [False] * n  # sticky: beacons carry the brake flag
-        self.origin = [False] * n  # scripted emergency brakers
         self.warned = [False] * n
-        self.braking = [False] * n
 
         # pair l is leader l and its follower l + 1; done once they collide
         self.pair_done = [False] * (n - 1)
@@ -170,7 +163,8 @@ class HighwaySimulation:
     def _build_secured_nodes(self) -> None:
         config = self.config
         ca = CertificateAuthority(1, suite=self.suite, rng=stream_rng(config.seed, "ca"))
-        strategy = _strategy_from_config(config)
+        strategy = OmissionStrategy(OmissionVariant(config.strategy),
+                                    alpha=config.alpha, beta=config.beta)
         policy = PseudonymChangePolicy(
             min_lifetime_ms=round(config.min_lifetime_s * 1000),
             max_lifetime_ms=round(config.max_lifetime_s * 1000),
@@ -227,7 +221,7 @@ class HighwaySimulation:
             if self.secured:
                 self._push(_VERIFY_TICK_MS, _K_VERIFY, -1, None)
         if config.braking_enabled:
-            self._push(round(config.trigger_time_s * 1000), _K_BRAKE_TRIGGER, -1, None)
+            self._push(round(config.trigger_time_s * 1000), _K_BRAKE, 0, None)
         self._rebuild_radio()
 
     # -- event machinery -----------------------------------------------------------
@@ -251,10 +245,8 @@ class HighwaySimulation:
                 self._handle_verify(time_ms)
             elif kind == _K_TICK:
                 self._handle_tick(time_ms)
-            elif kind == _K_BRAKE_START:
-                self._handle_brake_start(vid, time_ms)
-            elif kind == _K_BRAKE_TRIGGER:
-                self._handle_brake_trigger(time_ms)
+            elif kind == _K_BRAKE:
+                self._handle_brake(vid, time_ms)
             else:
                 break
         self._advance_to(self.duration_ms)
@@ -367,21 +359,11 @@ class HighwaySimulation:
             if maintain:
                 bsec.neighbor_maintenance(now)
 
-    def _handle_brake_trigger(self, now: int) -> None:
+    def _handle_brake(self, vid: int, now: int) -> None:
         self._advance_to(now)
-        if not self.crashed[0]:
-            self.a[0] = -self.config.lead_decel_mps2
-            self.emergency[0] = True
-            self.origin[0] = True
-            self.warned[0] = True
-            self.braking[0] = True
-
-    def _handle_brake_start(self, vid: int, now: int) -> None:
-        self._advance_to(now)
-        if self.crashed[vid] or self.braking[vid]:
+        if self.crashed[vid]:
             return
-        self.a[vid] = -self.config.brake_decel_mps2
-        self.braking[vid] = True
+        self.a[vid] = -(self.config.lead_decel_mps2 if vid == 0 else self.config.brake_decel_mps2)
         self.emergency[vid] = True
 
     # -- application logic -----------------------------------------------------------
@@ -398,7 +380,7 @@ class HighwaySimulation:
         if self.warned[vid] or self.crashed[vid]:
             return
         self.warned[vid] = True
-        self._push(now + self.config.reaction_delay_ms, _K_BRAKE_START, vid, None)
+        self._push(now + self.config.reaction_delay_ms, _K_BRAKE, vid, None)
 
     def _sight_check(self, now: int) -> None:
         sight = self.config.sight_threshold_m
@@ -411,7 +393,7 @@ class HighwaySimulation:
                     self._warn(vid, now)
             if (
                 self.crashed[vid]
-                or (self.emergency[vid] and (self.origin[vid] or v[vid] <= 0.01))
+                or (self.emergency[vid] and (vid == 0 or v[vid] <= 0.01))
             ):
                 hazard_x = x[vid]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 
 CSV_COLUMNS = [
@@ -136,15 +135,14 @@ def _percentile(ordered: list[float], q: float) -> float:
 
 
 def write_csv(path: str, runs: list[RunMetrics]) -> None:
-    """Write one row per run, atomically, with the mode ``open`` would give
-    a new file under the process umask (``mkstemp`` alone gives 0600)."""
+    """Write one row per run, atomically, with the mode ``open`` gives a new
+    file under the process umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(prefix=".metrics-", suffix=".csv", dir=directory)
+    tmp_path = os.path.join(directory, f".metrics-{os.urandom(8).hex()}.csv")
+    handle = open(tmp_path, "x", newline="")
     try:
-        os.umask(umask := os.umask(0))
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", newline="") as handle:
+        with handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for run in runs:

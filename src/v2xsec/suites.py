@@ -13,8 +13,8 @@ Two interchangeable backends share one wire format:
 Given the same seeded ``rng``, both draw the same values per key, so a seed
 fixes the key material of either suite. ``VerdictMemo`` sits in front of
 either one for the length of a simulation run and answers repeated
-verifications of the same signature from memory, keeping two generations of
-verdicts: enough to answer every check of a beacon while it is fresh.
+verifications of the same signature from memory, keeping an LRU of the 4,096
+most recently asked verdicts: enough for every check of a fresh beacon.
 
 Only ``P224Suite`` and the ECIES functions of ``hsm`` use the
 ``cryptography`` library, and they load it on first use (see ``_crypto``),
@@ -27,6 +27,7 @@ the original encoding is recovered exactly; parsers reject nonzero padding.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -40,13 +41,18 @@ POINT_LEN = 57  # uncompressed X9.62 point on P-224: 0x04 || X(28) || Y(28)
 SCALAR_LEN = 28
 SIG_FIELD_LEN = 64  # fixed on-wire field; DER P-224 signatures are <= 64 bytes
 
-# Verdicts in one VerdictMemo generation: about 9 simulated seconds of the
-# densest shipped scenario, against a freshness window of 1 s.
-_GENERATION = 4096
+# Verdicts a VerdictMemo holds: about 9 simulated seconds of the densest
+# shipped scenario, against a freshness window of 1 s.
+_CAPACITY = 4096
 
 
 class SuiteError(Exception):
     """Raised for malformed keys or points handed to a suite."""
+
+
+def is_point(data: bytes) -> bool:
+    """Whether ``data`` has the form of an uncompressed P-224 point."""
+    return len(data) == POINT_LEN and data[0] == 0x04
 
 
 def pad_signature(der: bytes) -> bytes:
@@ -150,7 +156,7 @@ class P224Suite:
     @staticmethod
     def _load_public(data: bytes) -> _crypto.ec.EllipticCurvePublicKey:
         from . import _crypto
-        if len(data) != POINT_LEN or data[0] != 0x04:
+        if not is_point(data):
             raise SuiteError("public key must be a 57-byte uncompressed point")
         try:
             return _crypto.ec.EllipticCurvePublicKey.from_encoded_point(_crypto.CURVE, bytes(data))
@@ -191,7 +197,7 @@ class FastHashSuite:
         return self._check(public_key, data, signature)
 
     def _check(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
-        if len(public_key) != POINT_LEN or public_key[0] != 0x04:
+        if not is_point(public_key):
             return False
         if len(signature) != self._SIG_LEN or signature[0] != 0x30:
             return False
@@ -232,19 +238,17 @@ class VerdictMemo:
     repeats, failures included, from memory. Callers still ask for every
     check and get the answer a fresh computation would give.
 
-    Memory holds two generations of verdicts. ``verify`` looks in the
-    current one, then in the previous one, and carries a hit there forward
-    into the current one; a miss asks the suite and goes into the current
-    one. When the current generation holds ``_GENERATION`` verdicts, the
-    previous one is dropped and a new current one begins. A beacon's triple
+    Memory is an LRU of the ``_CAPACITY`` most recently asked verdicts: a
+    repeat answered from memory becomes the most recent, and a new verdict
+    in a full memory drops the least recently asked one. A beacon's triple
     is asked for only while the beacon is fresh, within a 1 s window in
-    every shipped scenario, and one generation spans about 9 simulated
-    seconds of the densest shipped traffic, so what is dropped can no longer
-    be asked for; if it is, the suite gives the same verdict again. Input
-    that cannot be a dict key, such as a ``bytearray`` or a writable
-    ``memoryview``, goes straight to the suite. Build one per run, so that
-    nothing carries over from one run to the next; every other operation is
-    the wrapped suite's own.
+    every shipped scenario, and the memory spans about 9 simulated seconds
+    of the densest shipped traffic, so what is dropped can no longer be
+    asked for; if it is, the suite gives the same verdict again. Input that
+    cannot be hashed, such as a ``bytearray`` or a writable ``memoryview``,
+    goes straight to the suite. Build one per run, so that nothing carries
+    over from one run to the next; every other operation is the wrapped
+    suite's own.
     """
 
     def __init__(self, suite: SignatureSuite) -> None:
@@ -254,25 +258,13 @@ class VerdictMemo:
         self.ecdh_sender = suite.ecdh_sender
         self.ecdh_receiver = suite.ecdh_receiver
         self.private_scalar_bytes = suite.private_scalar_bytes
-        self._verify = suite.verify
-        self._verdicts: dict[tuple[bytes, bytes, bytes], bool] = {}  # current generation
-        self._previous: dict[tuple[bytes, bytes, bytes], bool] = {}
+        self._verdicts = functools.lru_cache(maxsize=_CAPACITY)(suite.verify)
 
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
-        key = (public_key, data, signature)
         try:
-            verdict = self._verdicts.get(key)
+            return self._verdicts(public_key, data, signature)
         except (TypeError, ValueError):  # unhashable: a bytearray, a writable memoryview
-            return self._verify(public_key, data, signature)
-        if verdict is None:
-            verdict = self._previous.get(key)
-            if verdict is None:
-                verdict = self._verify(public_key, data, signature)
-            if len(self._verdicts) >= _GENERATION:
-                self._previous = self._verdicts
-                self._verdicts = {}
-            self._verdicts[key] = verdict
-        return verdict
+            return self._verdicts.__wrapped__(public_key, data, signature)
 
 
 SignatureSuite = P224Suite | FastHashSuite | VerdictMemo

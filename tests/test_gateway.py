@@ -70,6 +70,10 @@ def test_add_is_idempotent_remove_is_exact():
     assert firewall.remove_rule(rule)
     assert not firewall.remove_rule(rule)
     assert firewall.check_access("nav", "wheel") is Action.DENY
+    # a re-added rule ranks as newly inserted: after a tie added in between
+    other = _deny("*", "wheel", 10)
+    assert firewall.add_rule(other) and firewall.add_rule(rule)
+    assert firewall.rules == [other, rule]
 
 
 def test_static_rules_cannot_claim_ids_band():

@@ -92,8 +92,10 @@ def test_priority_then_registration_order():
     stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("b", priority=50), tick("b"))
     stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("a", priority=10), tick("a"))
     stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("c", priority=50), tick("c"))
+    stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("d", priority=50), tick("d"))
+    stack.register_handler(IlpPosition.ABOVE_MAC, HandlerRegistration("e", priority=10), tick("e"))
     stack.dispatch(IlpPosition.ABOVE_MAC, _msg(), Direction.UP)
-    assert order == ["a", "b", "c"]  # priority first, insertion order on ties
+    assert order == ["a", "e", "b", "c", "d"]  # priority first, insertion order on ties
 
 
 def test_modified_message_continues_down_the_chain():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from random import Random
 
@@ -87,6 +88,18 @@ def test_issue_validates_inputs(ca):
         ca.issue(pub, validity_start=10, validity_end=9)
     with pytest.raises(IdentityError):
         ca.issue(b"\x04" + b"\x00" * 10, validity_start=0, validity_end=1)
+    with pytest.raises(IdentityError):  # the right length, but not an uncompressed point
+        ca.issue(b"\x05" + bytes(56), validity_start=0, validity_end=100)
+
+
+def test_certificate_over_a_non_point_fails_verification(ca, fast_suite):
+    """A receiver's check holds the subject key to the same point format the
+    suites demand, even when the issuer really signed it."""
+    unsigned = CompactCertificate(ca.issuer_id, 0, 100, b"\x05" + bytes(56), b"")
+    signature = fast_suite.sign(ca._private, unsigned.tbs_bytes())
+    cert = dataclasses.replace(unsigned, signature=signature)
+    assert fast_suite.verify(ca.public_key, cert.tbs_bytes(), cert.signature)
+    assert not verify_certificate(cert, ca.public_key, 50, fast_suite)
 
 
 # -- change policy ---------------------------------------------------------------

@@ -33,7 +33,7 @@ from v2xsec.sim.scenario import (
     load_scenario,
 )
 from v2xsec.sim.sweep import GridSpec, expand_grid, run_sweep
-from v2xsec.suites import FastHashSuite
+from v2xsec.suites import _CAPACITY, FastHashSuite
 
 from .oracles import crash_times_reference
 
@@ -180,17 +180,17 @@ def test_each_run_has_its_own_verdict_memo(monkeypatch):
     assert 0 < first_calls < metrics.verification_units / 2
     second = HighwaySimulation(config)
     assert second.suite is not first.suite
-    assert second.suite._verdicts == {}
+    assert second.suite._verdicts.cache_info().currsize == 0
     assert _fingerprint(second.run()) == _fingerprint(metrics)
     assert len(calls) == 2 * first_calls
 
 
-def test_verdict_memo_holds_at_most_two_generations():
+def test_verdict_memo_holds_at_most_its_capacity():
     """A beacon's triple is asked for only while it is fresh, so a run keeps
-    at most two generations of verdicts, however long it runs."""
+    at most ``_CAPACITY`` verdicts, however long it runs."""
     sim = HighwaySimulation(_repository_scenario("overhead.ini", duration_s="30"))
     sim.run()
-    assert 0 < len(sim.suite._verdicts) + len(sim.suite._previous) <= 2 * 4096
+    assert 0 < sim.suite._verdicts.cache_info().currsize <= _CAPACITY
 
 
 # -- mode basics ---------------------------------------------------------------------
@@ -660,18 +660,25 @@ def test_write_csv_fixed_columns(tmp_path):
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640), (0o077, 0o600)])
-def test_write_csv_mode_follows_umask(tmp_path, umask, mode):
+def test_write_csv_mode_follows_umask(tmp_path, monkeypatch, umask, mode):
     """The atomic write gives a new or overwritten file the mode a plain
-    ``open`` of a new file would, not the temporary file's 0600."""
+    ``open`` of a new file would, without setting the process umask, which
+    would hold for every thread while it was changed."""
     path = tmp_path / "metrics.csv"
-    previous = os.umask(umask)
+    set_umask = os.umask
+    previous = set_umask(umask)
+
+    def untouchable(mask):
+        raise AssertionError("write_csv changed the process umask")
+
+    monkeypatch.setattr(os, "umask", untouchable)
     try:
         write_csv(str(path), [])
         assert path.stat().st_mode & 0o777 == mode
         write_csv(str(path), [])  # overwriting keeps it
         assert path.stat().st_mode & 0o777 == mode
     finally:
-        os.umask(previous)
+        set_umask(previous)
     assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
 

@@ -208,7 +208,7 @@ def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_cla
         assert memo.verify(pub, bytearray(b"data"), sig)
         assert not memo.verify(pub, bytearray(b"data"), bad[2])
     assert len(calls) == 5
-    assert list(memo._verdicts) == [bad]
+    assert memo._verdicts.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("suite_name", ["p224", "fast"])
@@ -239,28 +239,26 @@ def test_bytearray_input_gets_the_bytes_verdict(suite_name):
             assert memo.verify(*every) == expected
 
 
-def test_verdict_memo_keeps_two_generations(monkeypatch):
-    monkeypatch.setattr(suites, "_GENERATION", 2)
+def test_verdict_memo_drops_the_least_recently_asked(monkeypatch):
+    monkeypatch.setattr(suites, "_CAPACITY", 2)
     suite, calls = _counted(FastHashSuite())
     memo = VerdictMemo(suite)
     priv, pub = suite.generate_keypair(Random(2))
     sig = suite.sign(priv, b"\x00")
-    a, b, c, d = ((pub, bytes([i]), sig) for i in range(4))
+    a, b, c = ((pub, bytes([i]), sig) for i in range(3))
     assert memo.verify(*a) and not memo.verify(*b)
-    assert memo.verify(*a) and not memo.verify(*b)  # within a generation: from memory
+    assert memo.verify(*a) and not memo.verify(*b)  # repeats: from memory
     assert len(calls) == 2
-    assert not memo.verify(*c)  # the current generation is full: a new one begins
-    assert list(memo._previous) == [a, b] and list(memo._verdicts) == [c]
-    assert memo.verify(*a)  # a hit in the previous generation is carried forward
+    assert memo.verify(*a)  # a is now the most recently asked
+    assert not memo.verify(*c)  # memory is full: b, the least recent, is dropped
     assert len(calls) == 3
-    assert list(memo._verdicts) == [c, a]
-    assert not memo.verify(*d)  # b is now older than two generations
-    assert list(memo._previous) == [c, a] and list(memo._verdicts) == [d]
-    assert not memo.verify(*b)  # so the suite is asked again
-    assert len(calls) == 5
-    for i in range(20):  # never more than two generations
+    assert memo.verify(*a)  # still held
+    assert len(calls) == 3
+    assert not memo.verify(*b)  # dropped, so the suite is asked again
+    assert len(calls) == 4
+    for i in range(20):  # never more than the capacity
         memo.verify(pub, bytes([i % 7]), sig)
-        assert len(memo._verdicts) + len(memo._previous) <= 2 * 2
+        assert memo._verdicts.cache_info().currsize <= 2
 
 
 @pytest.mark.parametrize("suite_name", ["p224", "fast"])

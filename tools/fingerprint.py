@@ -65,6 +65,12 @@ def configurations(scenario, scenarios_dir: Path):
     for mode in ("unsecured", "secured"):
         yield (f"braking-{mode}-late-reaction",
                load("braking.ini", security_mode=mode, reaction_delay_ms=5000))
+    # with no delays, brake events share their millisecond with the tick, with
+    # deliveries and with each other, so the order of ties decides the outcome
+    for mode in ("novc", "unsecured", "secured"):
+        yield (f"braking-{mode}-zero-delay",
+               load("braking.ini", security_mode=mode, reaction_delay_ms=0,
+                    propagation_delay_ms=0))
     # real curve, with pseudonym changes: seeded keys make it repeat
     yield "p224-12v-15s-3-6s-pseudonyms", load("overhead.ini", crypto="p224", vehicle_count=12,
                                                duration_s=15, min_lifetime_s=3,
