@@ -61,8 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _print_run(metrics: RunMetrics) -> None:
-    print(f"scenario {metrics.scenario_id} seed={metrics.seed} "
-          f"mode={metrics.security_mode} strategy={metrics.strategy}")
+    config = metrics.config
+    print(f"scenario {config.name} seed={config.seed} "
+          f"mode={config.security_mode} strategy={config.strategy}")
     print(f"  beacons sent:          {metrics.beacons_sent}")
     print(f"  certificate fraction:  {metrics.certificate_fraction:.4f} "
           f"(post warm-up, {metrics.beacons_sent_post_warmup} beacons)")

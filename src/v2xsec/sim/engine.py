@@ -107,16 +107,7 @@ class HighwaySimulation:
         self._app = self._app_on_beacon if config.braking_enabled else None
         # every beacon reaches several receivers: verify each signature once while it is fresh
         self.suite = VerdictMemo(get_suite(config.crypto))
-        self.metrics = RunMetrics(
-            scenario_id=config.name,
-            seed=config.seed,
-            security_mode=config.security_mode,
-            strategy=config.strategy,
-            alpha=config.alpha,
-            beta=config.beta,
-            beacon_interval_ms=config.beacon_interval_ms,
-            vehicle_count=config.vehicle_count,
-        )
+        self.metrics = RunMetrics(config)
         if config.record_trace:
             self.metrics.trace = []
 
@@ -370,7 +361,7 @@ class HighwaySimulation:
 
     def _app_on_beacon(self, vid: int, beacon: Beacon, now: int) -> None:
         """React to an emergency-brake flag ahead (braking scenarios only)."""
-        if not beacon.payload or not (beacon.payload[0] & EMERGENCY_BRAKE_FLAG):
+        if not (beacon.payload[0] & EMERGENCY_BRAKE_FLAG):
             return
         if beacon.x <= self.x[vid]:
             return
@@ -623,8 +614,6 @@ def _pair_crossing(xf: float, vf: float, af: float, xl: float, vl: float,
     ordered = sorted(breakpoints)
     for start, end in zip(ordered, ordered[1:]):
         seg = end - start
-        if seg <= 0.0:
-            continue
         xf0, vf0, af0 = _state_at(xf, vf, af, start)
         xl0, vl0, al0 = _state_at(xl, vl, al, start)
         gap0 = xl0 - xf0

@@ -1,9 +1,11 @@
-"""Run metrics, deterministic CSV output, and an independent trace auditor.
+"""Run metrics and deterministic CSV output.
 
-The CSV column set is fixed so downstream analysis never has to sniff
-headers. Files are written atomically (temp file, then rename); a failed run
-leaves no partial output behind. Float fields are formatted with fixed
-precision so a rerun of the same seed produces byte-identical files.
+Each run's metrics hold the whole ``ScenarioConfig`` that produced them, and
+the CSV row leads with the config fields that identify the run. The CSV
+column set is fixed so downstream analysis never has to sniff headers. Files
+are written atomically (temp file, then rename); a failed run leaves no
+partial output behind. Float fields are formatted with fixed precision so a
+rerun of the same seed produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+
+from .scenario import ScenarioConfig
 
 CSV_COLUMNS = [
     "scenario_id",
@@ -50,14 +54,7 @@ class EmissionRecord:
 class RunMetrics:
     """Everything one simulation run reports."""
 
-    scenario_id: str
-    seed: int
-    security_mode: str
-    strategy: str
-    alpha: int
-    beta: int
-    beacon_interval_ms: int
-    vehicle_count: int
+    config: ScenarioConfig
     # beaconing overhead
     beacons_sent: int = 0
     beacons_sent_post_warmup: int = 0
@@ -99,15 +96,16 @@ class RunMetrics:
 
     def csv_row(self) -> list[str]:
         p95 = "" if self.p95_time_to_trust_ms is None else f"{self.p95_time_to_trust_ms:.3f}"
+        c = self.config
         return [
-            self.scenario_id,
-            str(self.seed),
-            self.security_mode,
-            self.strategy,
-            str(self.alpha),
-            str(self.beta),
-            str(self.beacon_interval_ms),
-            str(self.vehicle_count),
+            c.name,
+            str(c.seed),
+            c.security_mode,
+            c.strategy,
+            str(c.alpha),
+            str(c.beta),
+            str(c.beacon_interval_ms),
+            str(c.vehicle_count),
             f"{self.certificate_fraction:.6f}",
             f"{self.offered_load_Bps:.3f}",
             p95,
@@ -155,26 +153,3 @@ def write_csv(path: str, runs: list[RunMetrics]) -> None:
             pass
         raise
 
-
-def audit_certificate_fraction(trace: list[EmissionRecord], warmup_ms: int) -> float:
-    """Recompute the certificate fraction from the raw emission trace.
-
-    Deliberately independent of the engine's running counters: it sees only
-    the per-emission records. Exactly zero emissions after warm-up yields 0.0,
-    matching the reported metric.
-    """
-    total = 0
-    with_cert = 0
-    for record in trace:
-        if record.time_ms >= warmup_ms:
-            total += 1
-            if record.with_certificate:
-                with_cert += 1
-    if total == 0:
-        return 0.0
-    return with_cert / total
-
-
-def audit_offered_load(trace: list[EmissionRecord], duration_s: float) -> float:
-    """Recompute offered channel load (bytes/s) from the emission trace."""
-    return sum(record.frame_len for record in trace) / duration_s

@@ -1,21 +1,24 @@
 """Scenario configuration: INI files with strict validation.
 
-A scenario file groups parameters into the sections of ``_SECTIONS``. Each
-(case-sensitive) key sets the ``ScenarioConfig`` field of the same name, bar
-``[braking] enabled``, and the field's type picks the parser: ``float``
-values must be finite, ``bool`` takes true/false, yes/no, on/off or 1/0.
-Unknown sections or keys are hard errors, not warnings, so experiment configs
-cannot silently drift. ``validate`` checks ranges, including two ceilings:
-every time, in ms or in s, is at most ``MAX_MS`` ms, and the queue and
-pending capacities are at most ``MAX_CAPACITY``. The same schema backs the
-sweep grid: a grid key addresses a field by its bare key or as ``section.key``.
+``ScenarioConfig`` declares the schema: each field names the INI section that
+holds it, and is set by the (case-sensitive) key of the same name, bar
+``[braking] enabled``. The field's type picks the parser: ``float`` values
+must be finite, ``bool`` takes true/false, yes/no, on/off or 1/0. Unknown
+sections or keys are hard errors, not warnings, so experiment configs cannot
+silently drift. ``validate`` checks ranges, including two ceilings read off
+the field names: every time, a field ending in ``_ms`` or ``_s``, is at most
+``MAX_MS`` ms, and every ``_capacity`` field is at most ``MAX_CAPACITY``.
+Overrides and sweep grid keys address a field by its bare key or as
+``section.key``. Overrides only parse and replace; a configuration is
+validated as a whole where it is loaded, expanded from a grid or run, so the
+order of overrides never matters.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 SECURITY_MODES = ("novc", "unsecured", "secured")
@@ -48,52 +51,51 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _in(section: str, default: Any, key: str | None = None) -> Any:
+    """A field set by ``key`` (the field's own name unless given) in ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Complete description of one simulation run."""
 
-    # [scenario]
-    name: str = "unnamed"
-    vehicle_count: int = 10
-    initial_headway_m: float = 40.0
-    initial_speed_mps: float = 30.0
-    beacon_interval_ms: int = 100
-    duration_s: float = 60.0
-    warmup_s: float = 5.0
-    seed: int = 1
-    security_mode: str = "secured"
-    tx_range_m: float = 300.0
-    crypto: str = "fast"
-    mobility_tick_ms: int = 100
-    record_trace: bool = False
-    # [channel]
-    base_loss: float = 0.02
-    load_coefficient: float = 0.3
-    capacity_Bps: float = 750_000.0
-    propagation_delay_ms: int = 2
-    # [beaconing]
-    strategy: str = "neighbor_triggered"
-    alpha: int = 10
-    beta: int = 3
-    freshness_window_ms: int = 1000
-    neighbor_expiry_ms: int = 3000
-    # [verification]
-    budget_per_second: int = 50
-    queue_capacity: int = 64
-    pending_capacity: int = 64
-    # [pseudonym]
-    pool_size: int = 8
-    cert_validity_s: float = 86_400.0
-    min_lifetime_s: float = 30.0
-    max_lifetime_s: float = 60.0
-    max_beacons: int = 1_000_000
-    # [braking]
-    braking_enabled: bool = False
-    trigger_time_s: float = 30.0
-    lead_decel_mps2: float = 8.0
-    brake_decel_mps2: float = 8.0
-    reaction_delay_ms: int = 1200
-    sight_threshold_m: float = 50.0
+    name: str = _in("scenario", "unnamed")
+    vehicle_count: int = _in("scenario", 10)
+    initial_headway_m: float = _in("scenario", 40.0)
+    initial_speed_mps: float = _in("scenario", 30.0)
+    beacon_interval_ms: int = _in("scenario", 100)
+    duration_s: float = _in("scenario", 60.0)
+    warmup_s: float = _in("scenario", 5.0)
+    seed: int = _in("scenario", 1)
+    security_mode: str = _in("scenario", "secured")
+    tx_range_m: float = _in("scenario", 300.0)
+    crypto: str = _in("scenario", "fast")
+    mobility_tick_ms: int = _in("scenario", 100)
+    record_trace: bool = _in("scenario", False)
+    base_loss: float = _in("channel", 0.02)
+    load_coefficient: float = _in("channel", 0.3)
+    capacity_Bps: float = _in("channel", 750_000.0)
+    propagation_delay_ms: int = _in("channel", 2)
+    strategy: str = _in("beaconing", "neighbor_triggered")
+    alpha: int = _in("beaconing", 10)
+    beta: int = _in("beaconing", 3)
+    freshness_window_ms: int = _in("beaconing", 1000)
+    neighbor_expiry_ms: int = _in("beaconing", 3000)
+    budget_per_second: int = _in("verification", 50)
+    queue_capacity: int = _in("verification", 64)
+    pending_capacity: int = _in("verification", 64)
+    pool_size: int = _in("pseudonym", 8)
+    cert_validity_s: float = _in("pseudonym", 86_400.0)
+    min_lifetime_s: float = _in("pseudonym", 30.0)
+    max_lifetime_s: float = _in("pseudonym", 60.0)
+    max_beacons: int = _in("pseudonym", 1_000_000)
+    braking_enabled: bool = _in("braking", False, key="enabled")
+    trigger_time_s: float = _in("braking", 30.0)
+    lead_decel_mps2: float = _in("braking", 8.0)
+    brake_decel_mps2: float = _in("braking", 8.0)
+    reaction_delay_ms: int = _in("braking", 1200)
+    sight_threshold_m: float = _in("braking", 50.0)
 
     # -- derived views ------------------------------------------------------
 
@@ -109,6 +111,15 @@ class ScenarioConfig:
         def need(cond: bool, message: str) -> None:
             if not cond:
                 raise ScenarioError(message)
+
+        # the ceilings, read off each field's unit suffix
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_ms", "_s")):
+                ms = value * 1000 if f.name.endswith("_s") else value
+                need(ms <= MAX_MS, f"{f.name} exceeds the ceiling of {MAX_MS:,} ms")
+            elif f.name.endswith("_capacity"):
+                need(value <= MAX_CAPACITY, f"{f.name} exceeds the ceiling of {MAX_CAPACITY:,}")
 
         need(self.vehicle_count >= 1, "vehicle_count must be >= 1")
         need(self.initial_headway_m > 0, "initial_headway_m must be positive")
@@ -144,46 +155,19 @@ class ScenarioConfig:
         need(self.brake_decel_mps2 > 0, "brake_decel_mps2 must be positive")
         need(self.reaction_delay_ms >= 0, "reaction_delay_ms must be nonnegative")
         need(self.sight_threshold_m > 0, "sight_threshold_m must be positive")
-        # the checks above bound warmup_s, min_lifetime_s and mobility_tick_ms
-        for name in ("beacon_interval_ms", "duration_s", "propagation_delay_ms",
-                     "freshness_window_ms", "neighbor_expiry_ms", "cert_validity_s",
-                     "max_lifetime_s", "trigger_time_s", "reaction_delay_ms"):
-            ms = getattr(self, name) * (1000 if name.endswith("_s") else 1)
-            need(ms <= MAX_MS, f"{name} exceeds the ceiling of {MAX_MS:,} ms")
-        for name in ("queue_capacity", "pending_capacity"):
-            need(getattr(self, name) <= MAX_CAPACITY,
-                 f"{name} exceeds the ceiling of {MAX_CAPACITY:,}")
 
 
-# INI section -> its keys. A key is the name of the field it sets, except
-# where a section prefix would repeat (braking.enabled).
-_SECTIONS = {
-    "scenario": ("name", "vehicle_count", "initial_headway_m", "initial_speed_mps",
-                 "beacon_interval_ms", "duration_s", "warmup_s", "seed", "security_mode",
-                 "tx_range_m", "crypto", "mobility_tick_ms", "record_trace"),
-    "channel": ("base_loss", "load_coefficient", "capacity_Bps", "propagation_delay_ms"),
-    "beaconing": ("strategy", "alpha", "beta", "freshness_window_ms", "neighbor_expiry_ms"),
-    "verification": ("budget_per_second", "queue_capacity", "pending_capacity"),
-    "pseudonym": ("pool_size", "cert_validity_s", "min_lifetime_s", "max_lifetime_s",
-                  "max_beacons"),
-    "braking": ("enabled", "trigger_time_s", "lead_decel_mps2", "brake_decel_mps2",
-                "reaction_delay_ms", "sight_threshold_m"),
-}
-_RENAMED = {"braking.enabled": "braking_enabled"}
 _PARSERS = {"str": str, "int": int, "float": _finite_float, "bool": _parse_bool}
-_FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
-# INI (section, key) -> (field, parser), and the flat lookup for grid
-# overrides, where both the bare key and section.key work.
+# INI (section, key) -> (field, parser), and the flat lookup for overrides,
+# where both the bare key and section.key work.
 _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
 _FLAT: dict[str, tuple[str, Callable[[str], Any]]] = {}
-for _section, _keys in _SECTIONS.items():
-    _SCHEMA[_section] = {}
-    for _key in _keys:
-        _attr = _RENAMED.get(f"{_section}.{_key}", _key)
-        _entry = _SCHEMA[_section][_key] = (_attr, _PARSERS[_FIELD_TYPES[_attr]])
-        _FLAT[f"{_section}.{_key}"] = _entry
-        _FLAT.setdefault(_key, _entry)
+for _field in fields(ScenarioConfig):
+    _section = _field.metadata["section"]
+    _key = _field.metadata["key"] or _field.name
+    _entry = _SCHEMA.setdefault(_section, {})[_key] = (_field.name, _PARSERS[_field.type])
+    _FLAT[f"{_section}.{_key}"] = _FLAT[_key] = _entry
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -219,16 +203,22 @@ def load_scenario(path: str) -> ScenarioConfig:
     return config
 
 
-def apply_override(config: ScenarioConfig, key: str, raw: str) -> ScenarioConfig:
-    """Return a copy of ``config`` with one field replaced from text."""
+def parameter(key: str) -> tuple[str, Callable[[str], Any]]:
+    """The field an override key (bare or ``section.key``) sets, and its parser."""
     entry = _FLAT.get(key)
     if entry is None:
         raise ScenarioError(f"unknown scenario parameter {key!r}")
-    attr, value_parser = entry
+    return entry
+
+
+def apply_override(config: ScenarioConfig, key: str, raw: str) -> ScenarioConfig:
+    """Return a copy of ``config`` with one field replaced from text.
+
+    The copy is not validated: its user validates the final configuration.
+    """
+    attr, value_parser = parameter(key)
     try:
         value = value_parser(raw)
     except ValueError as exc:
         raise ScenarioError(f"{key} = {raw!r}: {exc}") from exc
-    updated = replace(config, **{attr: value})
-    updated.validate()
-    return updated
+    return replace(config, **{attr: value})

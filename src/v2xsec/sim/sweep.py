@@ -2,11 +2,13 @@
 
 Grid axes are given as ``key=value1,value2,...`` and expand in declaration
 order (first axis outermost). Each axis names one scenario field, by its bare
-or ``section.key`` name, and no two axes may name the same field. Each grid
-point gets a deterministic seed, ``base_seed XOR index``, unless the grid
-itself sweeps the seed. Runs are independent, so they can fan out across
-worker processes, at most one per run; results always come back in grid order
-regardless of completion order.
+or ``section.key`` name as an override does, and no two axes may name the
+same field. Each grid point gets a deterministic seed, ``base_seed XOR
+index``, unless the grid itself sweeps the seed. Every grid point is
+validated whole, once all its values are set, before any run starts. Runs
+are independent, so they can fan out across worker processes, at most one
+per run; results always come back in grid order regardless of completion
+order.
 Only a parallel sweep imports the process pool.
 """
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .engine import run_scenario
 from .metrics import RunMetrics
-from .scenario import _FLAT, ScenarioConfig, ScenarioError, apply_override
+from .scenario import ScenarioConfig, ScenarioError, apply_override, parameter
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,7 @@ class GridSpec:
             parsed = tuple(v.strip() for v in values.split(",") if v.strip())
             if not parsed:
                 raise ScenarioError(f"grid axis {key!r} has no values")
-            entry = _FLAT.get(key)
-            if entry is None:
-                raise ScenarioError(f"unknown scenario parameter {key!r}")
-            field = entry[0]
+            field, _ = parameter(key)
             if field in named:
                 raise ScenarioError(
                     f"grid sweeps {field} twice (as {named[field]!r} and {key!r})")
@@ -56,7 +55,7 @@ class GridSpec:
 
     @property
     def sweeps_seed(self) -> bool:
-        return any(_FLAT[key][0] == "seed" for key, _ in self.axes)
+        return any(parameter(key)[0] == "seed" for key, _ in self.axes)
 
 
 def expand_grid(base: ScenarioConfig, grid: GridSpec,

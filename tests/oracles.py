@@ -167,6 +167,33 @@ def crash_times_reference(vehicles, duration_s, dt=1e-4):
     return crashes
 
 
+# -- emission trace audit ----------------------------------------------------------------
+
+
+def audit_certificate_fraction(trace, warmup_ms):
+    """Recompute the certificate fraction from the raw emission trace.
+
+    Deliberately independent of the engine's running counters: it sees only
+    the per-emission records. Exactly zero emissions after warm-up yields 0.0,
+    matching the reported metric.
+    """
+    total = 0
+    with_cert = 0
+    for record in trace:
+        if record.time_ms >= warmup_ms:
+            total += 1
+            if record.with_certificate:
+                with_cert += 1
+    if total == 0:
+        return 0.0
+    return with_cert / total
+
+
+def audit_offered_load(trace, duration_s):
+    """Recompute offered channel load (bytes/s) from the emission trace."""
+    return sum(record.frame_len for record in trace) / duration_s
+
+
 # -- budget window reference -------------------------------------------------------------
 
 

@@ -38,12 +38,11 @@ from v2xsec.hsm import Hsm, IntegrityError, KeyRole, encrypt_for
 from v2xsec.clocks import VirtualClock
 from v2xsec.selftest import run_gateway_suite, run_hsm_security_suite
 from v2xsec.sim.engine import run_scenario
-from v2xsec.sim.metrics import audit_certificate_fraction
 from v2xsec.sim.scenario import apply_override, load_scenario
 from v2xsec.sim.sweep import GridSpec, run_sweep
 from v2xsec.suites import P224Suite, get_suite
 
-from .oracles import DROPPED, dispatch_reference
+from .oracles import DROPPED, audit_certificate_fraction, dispatch_reference
 from .test_hooks import _random_handler
 
 _SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -88,7 +87,8 @@ def test_criterion_2_overhead_falls_with_beacon_rate():
     base = apply_override(_scenario("overhead.ini"), "duration_s", "60")
     grid = GridSpec.parse(["beacon_interval_ms=100,200,500", _seeds(10)])
     runs = run_sweep(base, grid)
-    fraction = {(m.beacon_interval_ms, m.seed): m.certificate_fraction for m in runs}
+    fraction = {(m.config.beacon_interval_ms, m.config.seed): m.certificate_fraction
+                for m in runs}
     violations = []
     for seed in range(1, 11):
         f100, f200, f500 = fraction[(100, seed)], fraction[(200, seed)], fraction[(500, seed)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 
 import pytest
 
@@ -18,6 +19,9 @@ warmup_s = 1
 security_mode = unsecured
 seed = 7
 """
+
+SMOKE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "scenarios", "smoke.ini")
 
 
 @pytest.fixture
@@ -46,6 +50,28 @@ def test_run_with_overrides(scenario_file, capsys):
                  "--set", "vehicle_count=2", "--set", "duration_s=4"])
     assert code == 0
     assert "seed=99" in capsys.readouterr().out
+
+
+def test_overrides_are_validated_together_in_any_order(capsys):
+    """Only the final configuration is validated: a warm-up that fits the
+    shortened run is accepted whether it is set before or after the new
+    duration, and a bad final configuration exits 2 before any work."""
+    shorten = ["--set", "duration_s=1.5"]
+    warm = ["--set", "warmup_s=1"]
+    assert main(["run", "--scenario", SMOKE] + shorten + warm) == 0
+    printed = capsys.readouterr().out
+    assert "scenario smoke seed=7" in printed
+    assert main(["run", "--scenario", SMOKE] + warm + shorten) == 0
+    assert capsys.readouterr().out == printed
+
+    assert main(["sweep", "--scenario", SMOKE,
+                 "--grid", "duration_s=1.5", "--grid", "warmup_s=1"]) == 0
+    assert "scenario smoke#0 seed=" in capsys.readouterr().out
+
+    assert main(["run", "--scenario", SMOKE] + warm + ["--set", "duration_s=0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "warmup_s must lie inside the run" in captured.err
 
 
 def test_run_rejects_bad_override(scenario_file, capsys):

@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 
 from v2xsec.sim import sweep
 from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
-from v2xsec.sim.metrics import (
-    CSV_COLUMNS,
-    _percentile,
-    audit_certificate_fraction,
-    audit_offered_load,
-    write_csv,
-)
+from v2xsec.sim.metrics import CSV_COLUMNS, _percentile, write_csv
 from v2xsec.sim.scenario import (
-    _FLAT,
     _SCHEMA,
     MAX_CAPACITY,
     MAX_MS,
@@ -31,11 +24,12 @@ from v2xsec.sim.scenario import (
     ScenarioError,
     apply_override,
     load_scenario,
+    parameter,
 )
 from v2xsec.sim.sweep import GridSpec, expand_grid, run_sweep
 from v2xsec.suites import _CAPACITY, FastHashSuite
 
-from .oracles import crash_times_reference
+from .oracles import audit_certificate_fraction, audit_offered_load, crash_times_reference
 
 # adapter header (6) + type tag (2) + body
 PLAIN_FRAME_LEN = 6 + 2 + 40
@@ -474,12 +468,28 @@ def test_apply_override():
         apply_override(config, "sim.duration_s", "20")
     with pytest.raises(ScenarioError):
         apply_override(config, "vehicle_count", "several")
-    with pytest.raises(ScenarioError):
-        apply_override(config, "warmup_s", "99")  # fails validation
     with pytest.raises(ScenarioError, match="not a finite number"):
         apply_override(config, "duration_s", "inf")
+    # an override only parses and replaces; the final configuration is validated
+    late_warmup = apply_override(config, "warmup_s", "99")
+    with pytest.raises(ScenarioError, match="warmup_s must lie inside the run"):
+        late_warmup.validate()
+    long_validity = apply_override(config, "pseudonym.cert_validity_s", "1e300")
     with pytest.raises(ScenarioError, match="cert_validity_s exceeds the ceiling"):
-        apply_override(config, "pseudonym.cert_validity_s", "1e300")
+        long_validity.validate()
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)
+                                  if f.name.endswith(("_ms", "_s", "_capacity"))])
+def test_every_ceiling_rejects_a_value_past_it(name):
+    if name.endswith("_capacity"):
+        past = MAX_CAPACITY + 1
+    elif name.endswith("_ms"):
+        past = MAX_MS + 1
+    else:
+        past = MAX_MS / 1000 + 1
+    with pytest.raises(ScenarioError, match=f"{name} exceeds the ceiling"):
+        ScenarioConfig(**{name: past}).validate()
 
 
 def test_values_at_the_ceilings_run():
@@ -536,8 +546,8 @@ def test_scenario_schema_covers_every_field_once(tmp_path):
     assert load_scenario(str(path)) == defaults
 
     for attr, [(section, key)] in keys_of.items():
-        assert _FLAT[f"{section}.{key}"][0] == attr
-        assert _FLAT[key][0] == attr
+        assert parameter(f"{section}.{key}")[0] == attr
+        assert parameter(key)[0] == attr
         raw = str(getattr(defaults, attr))
         assert apply_override(defaults, f"{section}.{key}", raw) == defaults
         assert apply_override(defaults, key, raw) == defaults
@@ -602,7 +612,7 @@ def test_process_pool_sweep_matches_serial():
     base = _repository_scenario("smoke.ini")
     grid = GridSpec.parse(["seed=1,2,3", "beacon_interval_ms=100,200"])
     serial = run_sweep(base, grid, jobs=1)
-    assert [(m.seed, m.beacon_interval_ms) for m in serial] == [
+    assert [(m.config.seed, m.config.beacon_interval_ms) for m in serial] == [
         (seed, interval) for seed in (1, 2, 3) for interval in (100, 200)]
     assert run_sweep(base, grid, jobs=2) == serial
 
@@ -631,6 +641,17 @@ def test_sweep_starts_no_more_workers_than_runs(monkeypatch):
     grid = GridSpec.parse(["beacon_interval_ms=100,200"])
     assert run_sweep(base, grid, jobs=64) == run_sweep(base, grid)
     assert asked == [2]
+
+
+def test_grid_points_are_validated_whole():
+    """A grid point is validated once all its values are set, so a warm-up
+    that fits only the swept duration is accepted in either axis order."""
+    base = _config(security_mode="novc")
+    for axes in (["duration_s=1.5", "warmup_s=1"], ["warmup_s=1", "duration_s=1.5"]):
+        [config] = expand_grid(base, GridSpec.parse(axes))
+        assert (config.duration_s, config.warmup_s) == (1.5, 1.0)
+    with pytest.raises(ScenarioError, match="warmup_s must lie inside the run"):
+        expand_grid(base, GridSpec.parse(["duration_s=1.5,20", "warmup_s=1,12"]))
 
 
 def test_invalid_grid_value_is_rejected():
