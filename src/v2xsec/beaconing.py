@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from .hsm import SIGNED_BLOB_LEN, TIMESTAMP_LEN, SignedBlob, signed_payload
+from .hsm import TIMESTAMP_LEN, signed_payload
 from .identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -49,7 +49,7 @@ from .identity import (
     MalformedCertificateError,
     verify_certificate,
 )
-from .suites import pad_signature
+from .suites import SIG_FIELD_LEN, SuiteError, pad_signature, unpad_signature
 
 PLAIN_BEACON_TYPE = 0x0B00
 SECURED_BEACON_TYPE = 0x0B01
@@ -57,13 +57,13 @@ SECURED_BEACON_TYPE = 0x0B01
 BEACON_BODY_LEN = 40
 _BEACON_FMT = ">ddffQ8s"
 
-# secured beacon offsets: tag, pseudonym id, body, signed blob, certificate flag
+# secured beacon offsets: tag, pseudonym id, body, timestamp, signature, certificate flag
 _SECURED_TAG = struct.pack(">H", SECURED_BEACON_TYPE)
 _PID_AT = len(_SECURED_TAG)
 _BODY_AT = _PID_AT + PSEUDONYM_ID_LEN
-_BLOB_AT = _BODY_AT + BEACON_BODY_LEN
-_SIGNED_END = _BLOB_AT + TIMESTAMP_LEN  # the signature covers [_BODY_AT:_SIGNED_END]
-_FLAG_AT = _BLOB_AT + SIGNED_BLOB_LEN
+_STAMP_AT = _BODY_AT + BEACON_BODY_LEN
+_SIG_AT = _STAMP_AT + TIMESTAMP_LEN  # the signature covers [_BODY_AT:_SIG_AT]
+_FLAG_AT = _SIG_AT + SIG_FIELD_LEN
 SECURED_BEACON_LEN = _FLAG_AT + 1
 SECURED_BEACON_WITH_CERT_LEN = SECURED_BEACON_LEN + CERT_WIRE_LEN
 PLAIN_BEACON_LEN = 2 + BEACON_BODY_LEN
@@ -178,14 +178,16 @@ class SecuredBeacon:
     """A beacon plus its pseudonymous signature and optional certificate.
 
     ``signed_payload`` (body || timestamp) is the bytes the signature covers:
-    built once by the sender, sliced out of the wire bytes by the parser.
+    built once by the sender, sliced out of the wire bytes by the parser. It
+    is the only place the signature's timestamp is kept, so equality
+    compares it too.
     """
 
     beacon: Beacon
     signer_pseudonym_id: bytes
-    blob: SignedBlob
+    signature: bytes
     certificate: CompactCertificate | None
-    signed_payload: bytes = field(compare=False, repr=False)
+    signed_payload: bytes = field(repr=False)
 
     def to_wire(self) -> bytes:
         cert = self.certificate
@@ -193,7 +195,7 @@ class SecuredBeacon:
             _SECURED_TAG,
             self.signer_pseudonym_id,
             self.signed_payload,
-            pad_signature(self.blob.signature),
+            pad_signature(self.signature),
             b"\x00" if cert is None else b"\x01" + cert.to_bytes(),
         ))
 
@@ -203,10 +205,10 @@ class SecuredBeacon:
             raise MalformedBeaconError("not a secured beacon")
         if len(data) not in (SECURED_BEACON_LEN, SECURED_BEACON_WITH_CERT_LEN):
             raise MalformedBeaconError(f"secured beacon of {len(data)}B")
-        beacon = Beacon.unpack(data[_BODY_AT:_BLOB_AT])
+        beacon = Beacon.unpack(data[_BODY_AT:_STAMP_AT])
         try:
-            blob = SignedBlob.from_bytes(data[_BLOB_AT:_FLAG_AT])
-        except ValueError as exc:
+            signature = unpad_signature(data[_SIG_AT:_FLAG_AT])
+        except SuiteError as exc:
             raise MalformedBeaconError(str(exc)) from exc
         flag = data[_FLAG_AT]
         if flag == 0x00:
@@ -222,7 +224,7 @@ class SecuredBeacon:
                 raise MalformedBeaconError(str(exc)) from exc
         else:
             raise MalformedBeaconError(f"bad certificate flag {flag:#x}")
-        return cls(beacon, data[_PID_AT:_BODY_AT], blob, cert, data[_BODY_AT:_SIGNED_END])
+        return cls(beacon, data[_PID_AT:_BODY_AT], signature, cert, data[_BODY_AT:_SIG_AT])
 
 
 # -- neighbor table ----------------------------------------------------------------
@@ -397,7 +399,7 @@ class BeaconSecurity:
         cert = active.certificate if attach else None
         if attach:
             self.beacons_sent_with_cert += 1
-        return SecuredBeacon(beacon, active.pseudonym_id, blob, cert,
+        return SecuredBeacon(beacon, active.pseudonym_id, blob.signature, cert,
                              signed_payload(body, blob.timestamp))
 
     # -- receiving -----------------------------------------------------------
@@ -531,7 +533,7 @@ class BeaconSecurity:
                 public_key, validity_end = trust
             if now > validity_end:
                 self._discard("expired_certificate")
-            elif verify(public_key, sb.signed_payload, sb.blob.signature):
+            elif verify(public_key, sb.signed_payload, sb.signature):
                 if trust is None:
                     self._trust(sb.signer_pseudonym_id, public_key, validity_end, now)
                 self.delivered_count += 1

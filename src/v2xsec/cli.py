@@ -18,7 +18,7 @@ import sys
 
 from .sim.engine import run_scenario
 from .sim.metrics import CSV_COLUMNS, RunMetrics, write_csv
-from .sim.scenario import ScenarioError, apply_override, load_scenario
+from .sim.scenario import CRYPTO_SUITES, ScenarioError, apply_override, load_scenario
 from .sim.sweep import GridSpec, run_sweep
 from .suites import get_suite
 
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     self_p.add_argument("--hsm-sequences", type=int, default=10_000)
     self_p.add_argument("--gateway-events", type=int, default=10_000)
     self_p.add_argument("--seed", type=int, default=0x5EC0)
-    self_p.add_argument("--crypto", default="p224", choices=("p224", "fast"))
+    self_p.add_argument("--crypto", default="p224", choices=CRYPTO_SUITES)
     return parser
 
 

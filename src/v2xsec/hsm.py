@@ -12,9 +12,10 @@ update package signed by the root it replaces.
 
 Wire formats
 ------------
-``SignedBlob``: 8-byte big-endian millisecond timestamp, then the signature
-field (DER, zero-padded to 64 bytes). The signature covers
-``message || timestamp``.
+``SignedBlob.to_bytes``: 8-byte big-endian millisecond timestamp, then the
+signature field (DER, zero-padded to 64 bytes). The signature covers
+``message || timestamp``. Nothing parses these bytes back: a secured beacon
+carries the same two fields, and ``beaconing`` parses them.
 
 ECIES envelope: 57-byte ephemeral uncompressed point, 16-byte IV, AES-128-CBC
 body (PKCS#7), 20-byte HMAC-SHA1 tag over ``IV || body``. The ephemeral ECDH
@@ -33,18 +34,9 @@ from enum import Enum
 from random import Random
 
 from .clocks import VirtualClock
-from .suites import (
-    POINT_LEN,
-    SIG_FIELD_LEN,
-    SignatureSuite,
-    SuiteError,
-    is_point,
-    pad_signature,
-    unpad_signature,
-)
+from .suites import POINT_LEN, SignatureSuite, SuiteError, is_point, pad_signature
 
 TIMESTAMP_LEN = 8
-SIGNED_BLOB_LEN = TIMESTAMP_LEN + SIG_FIELD_LEN
 
 _ECIES_IV_LEN = 16
 _ECIES_TAG_LEN = 20
@@ -109,17 +101,6 @@ class SignedBlob:
 
     def to_bytes(self) -> bytes:
         return _pack_timestamp(self.timestamp) + pad_signature(self.signature)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SignedBlob":
-        if len(data) != SIGNED_BLOB_LEN:
-            raise ValueError(f"signed blob must be {SIGNED_BLOB_LEN}B, got {len(data)}")
-        ts = struct.unpack(">Q", data[:TIMESTAMP_LEN])[0]
-        try:
-            sig = unpad_signature(data[TIMESTAMP_LEN:])
-        except SuiteError as exc:
-            raise ValueError(str(exc)) from exc
-        return cls(timestamp=ts, signature=sig)
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,7 @@ class CompactCertificate:
                           self.subject_public_key)
 
     def to_bytes(self) -> bytes:
-        # The fields are frozen, so pack the 142 wire bytes once.
-        wire = self.__dict__.get("_wire")
-        if wire is None:
-            wire = self.__dict__["_wire"] = self.tbs_bytes() + pad_signature(self.signature)
-        return wire
+        return self.tbs_bytes() + pad_signature(self.signature)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CompactCertificate":

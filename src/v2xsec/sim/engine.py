@@ -3,11 +3,11 @@
 A single-lane platoon beacons at a fixed interval under one of three modes:
 no vehicular communication at all, unsecured beacons, or the full secured
 stack (HSM, pseudonyms, certificate omission, budgeted verification). Each
-emission is encoded once, and the channel is charged for the encoded bytes
-plus a 6-byte source link address. Each heard beacon goes straight into the
-receiver's ``BeaconSecurity`` (secured) or the application (unsecured). A
-receiver's security layer owns all of its per-neighbor state, including time
-to trust, which the run collects from every layer when it ends.
+emission is charged its wire length, as ``beaconing`` declares it, plus a
+6-byte source link address; nothing is encoded. Each heard beacon goes
+straight into the receiver's ``BeaconSecurity`` (secured) or the application
+(unsecured). A receiver's security layer owns all of its per-neighbor state,
+including time to trust, which the run collects from every layer when it ends.
 
 Determinism: one virtual clock drives every component; all randomness comes
 from named streams derived from the scenario seed; the event queue orders
@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import struct
 from collections import deque
 from heapq import heappop, heappush
 from random import Random
@@ -46,7 +45,9 @@ from ..beaconing import (
     BeaconSecurity,
     OmissionStrategy,
     OmissionVariant,
-    PLAIN_BEACON_TYPE,
+    PLAIN_BEACON_LEN,
+    SECURED_BEACON_LEN,
+    SECURED_BEACON_WITH_CERT_LEN,
     SecuredBeacon,
 )
 from ..clocks import VirtualClock
@@ -75,7 +76,6 @@ LINK_ADDR_LEN = 6
 # Beacon payloads at their fixed wire width, so no emission pads them again.
 _PLAIN_PAYLOAD = bytes(8)
 _BRAKE_PAYLOAD = bytes([EMERGENCY_BRAKE_FLAG]).ljust(8, b"\x00")
-_PLAIN_TAG = struct.pack(">H", PLAIN_BEACON_TYPE)
 
 
 def stream_rng(seed: int, stream: str) -> Random:
@@ -284,14 +284,14 @@ class HighwaySimulation:
             # The HSMs read this clock only to timestamp signatures.
             self.clock.set(now)
             sent = self._security_layers[vid].make_beacon(beacon, now)
-            wire = sent.to_wire()
             with_cert = sent.certificate is not None
+            wire_len = SECURED_BEACON_WITH_CERT_LEN if with_cert else SECURED_BEACON_LEN
         else:
             sent = beacon
-            wire = _PLAIN_TAG + beacon.pack()
             with_cert = False
-        # the frame is the source link address followed by the encoded beacon
-        frame_len = LINK_ADDR_LEN + len(wire)
+            wire_len = PLAIN_BEACON_LEN
+        # the frame is the source link address followed by the beacon's wire bytes
+        frame_len = LINK_ADDR_LEN + wire_len
         self.total_tx_bytes += frame_len
         self.tx_bytes_window[vid] += frame_len
         metrics = self.metrics
@@ -529,18 +529,9 @@ class HighwaySimulation:
 
 def _kin_step(x: list[float], v: list[float], a: list[float],
               dt: float) -> tuple[list[float], list[float]]:
-    """Constant-acceleration step with a stop clamp (no reversing)."""
-    x_new = []
-    v_new = []
-    for xi, vi, ai in zip(x, v, a):
-        t = dt
-        if ai < 0:
-            stop = vi / -ai if vi > 0 else 0.0
-            if stop < dt:
-                t = stop
-        x_new.append(xi + vi * t + 0.5 * ai * t * t)
-        # zero first, so a sum of -0.0 settles at 0.0
-        v_new.append(max(0.0, vi + ai * t))
+    """Every vehicle's position and speed after ``dt`` seconds."""
+    states = [_state_at(xi, vi, ai, dt) for xi, vi, ai in zip(x, v, a)]
+    x_new, v_new, _ = map(list, zip(*states))
     return x_new, v_new
 
 
@@ -556,13 +547,13 @@ def _stop_time(v: float, a: float) -> float:
 
 
 def _state_at(x0: float, v0: float, a0: float, t: float) -> tuple[float, float, float]:
-    """Position, speed and effective acceleration after ``t`` seconds."""
+    """Position, speed and effective acceleration after ``t`` seconds of
+    constant acceleration with a stop clamp (no reversing)."""
     ts = _stop_time(v0, a0)
     te = t if t < ts else ts
     x = x0 + v0 * te + 0.5 * a0 * te * te
-    v = v0 + a0 * te
-    if v < 0.0:
-        v = 0.0
+    # zero first, so a sum of -0.0 settles at 0.0
+    v = max(0.0, v0 + a0 * te)
     a_eff = a0 if t < ts else 0.0
     return x, v, a_eff
 

@@ -8,10 +8,10 @@ sections or keys are hard errors, not warnings, so experiment configs cannot
 silently drift. ``validate`` checks ranges, including two ceilings read off
 the field names: every time, a field ending in ``_ms`` or ``_s``, is at most
 ``MAX_MS`` ms, and every ``_capacity`` field is at most ``MAX_CAPACITY``.
-Overrides and sweep grid keys address a field by its bare key or as
-``section.key``. Overrides only parse and replace; a configuration is
-validated as a whole where it is loaded, expanded from a grid or run, so the
-order of overrides never matters.
+Overrides and sweep grid keys address a field by its bare key, as
+``section.key`` or by the field's own name. Overrides only parse and replace;
+a configuration is validated as a whole where it is loaded, expanded from a
+grid or run, so the order of overrides never matters.
 """
 
 from __future__ import annotations
@@ -21,8 +21,10 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
+from ..beaconing import OmissionVariant
+
 SECURITY_MODES = ("novc", "unsecured", "secured")
-STRATEGIES = ("always", "periodic", "neighbor_triggered")
+STRATEGIES = tuple(variant.value for variant in OmissionVariant)
 CRYPTO_SUITES = ("fast", "p224")
 
 # Every time stays below 2**53 ms, so seconds convert to whole ms exactly, and
@@ -160,14 +162,14 @@ class ScenarioConfig:
 _PARSERS = {"str": str, "int": int, "float": _finite_float, "bool": _parse_bool}
 
 # INI (section, key) -> (field, parser), and the flat lookup for overrides,
-# where both the bare key and section.key work.
+# where the bare key, section.key and the field's own name all work.
 _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {}
 _FLAT: dict[str, tuple[str, Callable[[str], Any]]] = {}
 for _field in fields(ScenarioConfig):
     _section = _field.metadata["section"]
     _key = _field.metadata["key"] or _field.name
     _entry = _SCHEMA.setdefault(_section, {})[_key] = (_field.name, _PARSERS[_field.type])
-    _FLAT[f"{_section}.{_key}"] = _FLAT[_key] = _entry
+    _FLAT[f"{_section}.{_key}"] = _FLAT[_key] = _FLAT[_field.name] = _entry
 
 
 def load_scenario(path: str) -> ScenarioConfig:

@@ -263,8 +263,12 @@ class VerdictMemo:
     def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
         try:
             return self._verdicts(public_key, data, signature)
-        except (TypeError, ValueError):  # unhashable: a bytearray, a writable memoryview
-            return self._verdicts.__wrapped__(public_key, data, signature)
+        except (TypeError, ValueError):
+            try:  # unhashable: a bytearray, a writable memoryview
+                hash((public_key, data, signature))
+            except (TypeError, ValueError):
+                return self._verdicts.__wrapped__(public_key, data, signature)
+            raise  # the suite's own error, from its one call
 
 
 SignatureSuite = P224Suite | FastHashSuite | VerdictMemo

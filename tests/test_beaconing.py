@@ -28,7 +28,7 @@ from v2xsec.beaconing import (
     decide_attach,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, RootStateError, authorize_root_update, signed_payload
+from v2xsec.hsm import TIMESTAMP_LEN, Hsm, RootStateError, authorize_root_update, signed_payload
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -36,7 +36,7 @@ from v2xsec.identity import (
     IdentityManager,
     PseudonymChangePolicy,
 )
-from v2xsec.suites import FastHashSuite
+from v2xsec.suites import SIG_FIELD_LEN, FastHashSuite
 
 from .oracles import attach_trace_reference, budget_available_reference, receiver_reference
 
@@ -89,8 +89,9 @@ def test_wire_length_constants():
     # tag(2) + body(40); body is two doubles, two floats, u64, 8-byte payload
     assert BEACON_BODY_LEN == 8 + 8 + 4 + 4 + 8 + 8 == 40
     assert PLAIN_BEACON_LEN == 2 + BEACON_BODY_LEN == 42
-    # tag(2) + pseudonym id(4) + body(40) + signed blob(72) + cert flag(1)
-    assert SECURED_BEACON_LEN == 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN + 1 == 119
+    # tag(2) + pseudonym id(4) + body(40) + timestamp(8) + signature field(64) + cert flag(1)
+    assert SECURED_BEACON_LEN == (2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + TIMESTAMP_LEN
+                                  + SIG_FIELD_LEN + 1) == 119
     assert SECURED_BEACON_WITH_CERT_LEN == SECURED_BEACON_LEN + CERT_WIRE_LEN == 261
 
 
@@ -129,8 +130,11 @@ def test_secured_beacon_roundtrip(sender):
         back = SecuredBeacon.from_wire(wire)
         assert back == sb
         assert back.to_wire() == wire
-        # __eq__ leaves out the signed bytes: body || timestamp, one wire slice
+        # the signed bytes, body || timestamp, are one wire slice
         assert back.signed_payload == wire[6:54] == sb.signed_payload
+        # they hold the only copy of the timestamp, so equality sees it
+        restamped = SecuredBeacon.from_wire(wire[:53] + bytes([wire[53] ^ 1]) + wire[54:])
+        assert restamped != sb and restamped.signed_payload[:-1] == sb.signed_payload[:-1]
 
 
 def test_secured_beacon_parser_is_strict(sender):
@@ -147,7 +151,7 @@ def test_secured_beacon_parser_is_strict(sender):
     with pytest.raises(MalformedBeaconError):
         SecuredBeacon.from_wire(wire[:-1])
 
-    flag_at = 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + SIGNED_BLOB_LEN
+    flag_at = 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + TIMESTAMP_LEN + SIG_FIELD_LEN
     cleared = bytearray(wire)
     cleared[flag_at] = 0x00  # flag says no certificate, but one follows
     with pytest.raises(MalformedBeaconError):
@@ -197,7 +201,7 @@ def _signed_as(signer, pseudonym_id, beacon, certificate=None, good=True):
     body = beacon.pack()
     blob = signer.hsm.sign_and_timestamp(signer.identity.active.key_id,
                                          body if good else body[::-1])
-    return SecuredBeacon(beacon, pseudonym_id, blob, certificate,
+    return SecuredBeacon(beacon, pseudonym_id, blob.signature, certificate,
                          signed_payload(body, blob.timestamp))
 
 
@@ -513,9 +517,10 @@ def test_bad_signature_is_discarded_not_delivered(sender, receiver):
     sb = sender.make_beacon(_beacon(), 0)
     receiver.on_receive(sb, 0)
     tampered = Beacon(x=999.0, y=0.0, velocity=30.0, heading=0.0, generation_time=100)
-    blob = sender.make_beacon(_beacon(100), 100).blob
-    lying = SecuredBeacon(tampered, sb.signer_pseudonym_id, blob, None,
-                          signed_payload(tampered.pack(), blob.timestamp))
+    signed = sender.make_beacon(_beacon(100), 100)
+    stamp = signed.signed_payload[BEACON_BODY_LEN:]
+    lying = SecuredBeacon(tampered, sb.signer_pseudonym_id, signed.signature, None,
+                          tampered.pack() + stamp)
     receiver.on_receive(lying, 100)
     assert receiver.discards == {"bad_signature": 1}
     assert receiver.delivered_count == 1
@@ -527,7 +532,7 @@ def test_bad_certificate_is_discarded(sender, receiver, fast_suite):
     # certificate from an issuer the receiver does not trust
     rogue_ca = CertificateAuthority(9, suite=fast_suite, rng=Random(999))
     rogue_cert = rogue_ca.issue(sb.certificate.subject_public_key, 0, 10**10)
-    rogue = SecuredBeacon(sb.beacon, sb.signer_pseudonym_id, sb.blob, rogue_cert,
+    rogue = SecuredBeacon(sb.beacon, sb.signer_pseudonym_id, sb.signature, rogue_cert,
                           sb.signed_payload)
     receiver.on_receive(rogue, 0)
     assert receiver.discards == {"bad_certificate": 1}
@@ -542,7 +547,7 @@ def test_claimed_pseudonym_id_must_match_certificate(sender, receiver, fast_suit
     attacker = _vehicle(fast_suite, ca, seed=400)
     victim_pid = sender.identity.active.pseudonym_id
     own = attacker.make_beacon(_beacon(0), 0)
-    hijack = SecuredBeacon(own.beacon, victim_pid, own.blob, own.certificate,
+    hijack = SecuredBeacon(own.beacon, victim_pid, own.signature, own.certificate,
                            own.signed_payload)
     receiver.on_receive(hijack, 0)
     assert receiver.discards == {"bad_certificate": 1}
@@ -635,7 +640,7 @@ def test_stranger_holding_one_beacon_is_small(sender, fast_suite, ca):
     receiver = _vehicle(fast_suite, ca, seed=317)
     sender.strategy = OmissionStrategy.neighbor_triggered()
     sb = sender.make_beacon(_beacon(100), 100)
-    beacons = [SecuredBeacon(sb.beacon, n.to_bytes(PSEUDONYM_ID_LEN, "big"), sb.blob, None,
+    beacons = [SecuredBeacon(sb.beacon, n.to_bytes(PSEUDONYM_ID_LEN, "big"), sb.signature, None,
                              sb.signed_payload) for n in range(strangers)]
     assert _bytes_kept(receiver.on_receive, beacons, 100) / strangers <= 256
     assert len(receiver.neighbors) == strangers and receiver.pending_count == strangers
@@ -841,6 +846,21 @@ def test_receive_wire_counts_malformed(receiver):
     assert receiver.beacons_received == 1
     [(reason, count)] = receiver.discards.items()
     assert reason.startswith("malformed: ") and count == 1
+    _assert_funnel(receiver)
+
+
+def test_bad_signature_padding_is_malformed(sender, receiver):
+    """The signature field is the DER signature and zero padding; a nonzero
+    padding byte makes the whole beacon malformed."""
+    wire = bytearray(sender.make_beacon(_beacon(), 0).to_wire())
+    sig_end = 2 + PSEUDONYM_ID_LEN + BEACON_BODY_LEN + TIMESTAMP_LEN + SIG_FIELD_LEN
+    assert wire[sig_end - 1] == 0  # fast-suite signatures leave padding
+    wire[sig_end - 1] ^= 0xFF
+    with pytest.raises(MalformedBeaconError, match="nonzero padding"):
+        SecuredBeacon.from_wire(bytes(wire))
+    receiver.receive_wire(bytes(wire), 0)
+    assert receiver.discards == {"malformed: nonzero padding after DER signature": 1}
+    assert receiver.delivered_count == 0
     _assert_funnel(receiver)
 
 

@@ -74,6 +74,15 @@ def test_overrides_are_validated_together_in_any_order(capsys):
     assert "warmup_s must lie inside the run" in captured.err
 
 
+def test_overrides_and_grid_axes_may_name_a_field(scenario_file, capsys):
+    """``[braking] enabled`` sets ``braking_enabled``; an override or a grid
+    axis may also name the field itself."""
+    assert main(["run", "--scenario", scenario_file, "--set", "braking_enabled=true"]) == 0
+    assert main(["sweep", "--scenario", scenario_file,
+                 "--grid", "braking_enabled=true,false"]) == 0
+    assert "scenario cli-check#1 seed=" in capsys.readouterr().out
+
+
 def test_run_rejects_bad_override(scenario_file, capsys):
     assert main(["run", "--scenario", scenario_file, "--set", "bogus=1"]) == 2
     assert main(["run", "--scenario", scenario_file, "--set", "novalue"]) == 2

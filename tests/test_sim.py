@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2xsec.sim import sweep
-from v2xsec.sim.engine import HighwaySimulation, run_scenario, stream_rng
+from v2xsec.beaconing import Beacon
+from v2xsec.sim import engine, sweep
+from v2xsec.sim.engine import LINK_ADDR_LEN, HighwaySimulation, run_scenario, stream_rng
 from v2xsec.sim.metrics import CSV_COLUMNS, _percentile, write_csv
 from v2xsec.sim.scenario import (
     _SCHEMA,
@@ -297,6 +298,37 @@ def test_trace_frame_lengths_match_attachment(tmp_path):
         assert record.frame_len == expected
 
 
+def test_charged_frame_lengths_are_the_encoded_lengths(monkeypatch):
+    """The engine charges each emission its length without encoding it; every
+    charge equals the link address plus the bytes the beacon encodes to."""
+    sim = HighwaySimulation(_config(record_trace=True, vehicle_count=3, duration_s=5.0,
+                                    min_lifetime_s=1.0, max_lifetime_s=2.0))
+    sent = []
+    for bsec in sim._security_layers:
+        def recording(beacon, now, make=bsec.make_beacon):
+            sent.append(make(beacon, now))
+            return sent[-1]
+        bsec.make_beacon = recording
+    trace = sim.run().trace
+    assert len(trace) == len(sent) == 150
+    assert {sb.certificate is None for sb in sent} == {True, False}
+    assert [r.frame_len for r in trace] == [LINK_ADDR_LEN + len(sb.to_wire()) for sb in sent]
+
+    made = []
+
+    class Recorded(Beacon):
+        def __post_init__(self):
+            super().__post_init__()
+            made.append(self)
+
+    monkeypatch.setattr(engine, "Beacon", Recorded)
+    trace = run_scenario(_config(record_trace=True, vehicle_count=3, duration_s=5.0,
+                                 security_mode="unsecured")).trace
+    assert len(trace) == len(made) == 150
+    # a plain beacon is its 2-byte type tag and its body
+    assert [r.frame_len for r in trace] == [LINK_ADDR_LEN + 2 + len(b.pack()) for b in made]
+
+
 def test_trust_establishment_metrics():
     config = _config(vehicle_count=3, base_loss=0.0, load_coefficient=0.0)
     metrics = run_scenario(config)
@@ -548,6 +580,7 @@ def test_scenario_schema_covers_every_field_once(tmp_path):
     for attr, [(section, key)] in keys_of.items():
         assert parameter(f"{section}.{key}")[0] == attr
         assert parameter(key)[0] == attr
+        assert parameter(attr)[0] == attr  # overrides may name the field itself
         raw = str(getattr(defaults, attr))
         assert apply_override(defaults, f"{section}.{key}", raw) == defaults
         assert apply_override(defaults, key, raw) == defaults
@@ -576,7 +609,7 @@ def test_grid_parse():
     for bad in (["novalue"], ["x="], ["=1"], [], ["no_such_field=1"],
                 # two axes setting one field: the later would overwrite the earlier
                 ["seed=1,2", "seed=3"], ["alpha=2", "beaconing.alpha=7,8"],
-                ["scenario.seed=1", "seed=2"]):
+                ["scenario.seed=1", "seed=2"], ["enabled=true", "braking_enabled=false"]):
         with pytest.raises(ScenarioError):
             GridSpec.parse(bad)
     assert GridSpec.parse(["scenario.seed=4,5"]).sweeps_seed

@@ -211,6 +211,15 @@ def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_cla
     assert memo._verdicts.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("suite_class", [P224Suite, FastHashSuite])
+def test_verdict_memo_asks_the_suite_once_when_it_raises(suite_class):
+    suite, calls = _counted(suite_class())
+    memo = VerdictMemo(suite)
+    with pytest.raises(TypeError):
+        memo.verify(None, b"", b"")  # hashable, but not a key the suite takes
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("suite_name", ["p224", "fast"])
 def test_bytearray_input_gets_the_bytes_verdict(suite_name):
     suite = get_suite(suite_name)

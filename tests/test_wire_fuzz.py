@@ -1,6 +1,6 @@
 """Parsers fail closed: any input decodes exactly or raises the parser's own error.
 
-That holds for the three wire parsers and for the scenario INI loader,
+That holds for the two wire parsers and for the scenario INI loader,
 which must turn any file into a validated configuration or its own error.
 """
 
@@ -23,7 +23,7 @@ from v2xsec.beaconing import (
     SecuredBeacon,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import SIGNED_BLOB_LEN, Hsm, SignedBlob
+from v2xsec.hsm import Hsm
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     CertificateAuthority,
@@ -59,10 +59,6 @@ PARSERS = {
     "CompactCertificate.from_bytes": (
         CompactCertificate.from_bytes, CompactCertificate.to_bytes, MalformedCertificateError,
         (CERT_WIRE_LEN,), _SB.certificate.to_bytes(),
-    ),
-    "SignedBlob.from_bytes": (
-        SignedBlob.from_bytes, SignedBlob.to_bytes, ValueError,
-        (SIGNED_BLOB_LEN,), _SB.blob.to_bytes(),
     ),
 }
 
