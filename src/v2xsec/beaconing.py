@@ -10,11 +10,14 @@ quickly.
 Receivers keep a neighbor table, a dict keyed by short pseudonym ids, and
 push all cryptographic checks through one budgeted FIFO verification queue (a
 few dozen verifications per second is all a realistic onboard unit can
-afford). On first contact the job checks the attached certificate under the
-root of trust in the receiver's own HSM and that it is the one the claimed id
-names, then the signature under its key: the same signature check a known
-sender's beacon gets under the cached key. Beacons reach the application only
-after that check: unverified traffic stays pending and is never delivered. Freshness and certificate validity are
+afford). The budget is a cap on units (one unit per curve operation) spent in
+any sliding second; the receiver keeps it as a window holding the time of
+each unit it spent in the last second. On first contact the job checks the
+attached certificate under the root of trust in the receiver's own HSM and
+that it is the one the claimed id names, then the signature under its key:
+the same signature check a known sender's beacon gets under the cached key.
+Beacons reach the application only after that check: unverified traffic
+stays pending and is never delivered. Freshness and certificate validity are
 checked on arrival and again when a job reaches the queue head, so nothing
 goes stale waiting for its turn. The neighbor table is the only per-neighbor
 state: an entry holds its trust pair of verified key and certificate end
@@ -38,9 +41,10 @@ import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable
 
-from .hsm import TIMESTAMP_LEN, signed_payload
+from .hsm import TIMESTAMP_LEN
 from .identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -51,22 +55,22 @@ from .identity import (
 )
 from .suites import SIG_FIELD_LEN, SuiteError, pad_signature, unpad_signature
 
-PLAIN_BEACON_TYPE = 0x0B00
 SECURED_BEACON_TYPE = 0x0B01
+TYPE_TAG_LEN = 2
 
 BEACON_BODY_LEN = 40
 _BEACON_FMT = ">ddffQ8s"
 
 # secured beacon offsets: tag, pseudonym id, body, timestamp, signature, certificate flag
-_SECURED_TAG = struct.pack(">H", SECURED_BEACON_TYPE)
-_PID_AT = len(_SECURED_TAG)
+_SECURED_TAG = SECURED_BEACON_TYPE.to_bytes(TYPE_TAG_LEN, "big")
+_PID_AT = TYPE_TAG_LEN
 _BODY_AT = _PID_AT + PSEUDONYM_ID_LEN
 _STAMP_AT = _BODY_AT + BEACON_BODY_LEN
 _SIG_AT = _STAMP_AT + TIMESTAMP_LEN  # the signature covers [_BODY_AT:_SIG_AT]
 _FLAG_AT = _SIG_AT + SIG_FIELD_LEN
 SECURED_BEACON_LEN = _FLAG_AT + 1
 SECURED_BEACON_WITH_CERT_LEN = SECURED_BEACON_LEN + CERT_WIRE_LEN
-PLAIN_BEACON_LEN = 2 + BEACON_BODY_LEN
+PLAIN_BEACON_LEN = TYPE_TAG_LEN + BEACON_BODY_LEN
 
 EMERGENCY_BRAKE_FLAG = 0x01
 
@@ -178,9 +182,9 @@ class SecuredBeacon:
     """A beacon plus its pseudonymous signature and optional certificate.
 
     ``signed_payload`` (body || timestamp) is the bytes the signature covers:
-    built once by the sender, sliced out of the wire bytes by the parser. It
-    is the only place the signature's timestamp is kept, so equality
-    compares it too.
+    returned with the signature by the sender's HSM, sliced out of the wire
+    bytes by the parser. It is the only place the signature's timestamp is
+    kept, so equality compares it too.
     """
 
     beacon: Beacon
@@ -249,39 +253,6 @@ class NeighborEntry:
 # -- budgeted verification -----------------------------------------------------------
 
 
-class VerificationBudget:
-    """Sliding-window cap on verification units (1 unit = 1 crypto check)."""
-
-    __slots__ = ("max_per_second", "_window", "_sum")
-
-    def __init__(self, max_per_second: int) -> None:
-        if max_per_second < 1:
-            raise BeaconingError("budget must be at least 1 per second")
-        self.max_per_second = max_per_second
-        self._window: deque[tuple[int, int]] = deque()
-        self._sum = 0
-
-    def available(self, now: int) -> int:
-        window = self._window
-        horizon = now - 1000
-        while window and window[0][0] <= horizon:
-            self._sum -= window.popleft()[1]
-        return self.max_per_second - self._sum
-
-    def consume(self, now: int, units: int) -> None:
-        self._window.append((now, units))
-        self._sum += units
-
-    def refill_time(self) -> int:
-        """The earliest time at which ``available`` can grow again.
-
-        That is when the oldest spend leaves the window; 0 if nothing is
-        spent.
-        """
-        window = self._window
-        return window[0][0] + 1000 if window else 0
-
-
 # A verification job is a beacon and, at the same position of a second queue,
 # the trust pair it was queued under: ``(public_key, validity_end)`` means one
 # signature check (1 unit) under that key until its certificate ends; ``None``
@@ -333,6 +304,8 @@ class BeaconSecurity:
             raise BeaconingError("capacities must be positive")
         if neighbor_expiry_ms <= 0:
             raise BeaconingError("neighbor expiry must be positive")
+        if budget_per_second < 1:
+            raise BeaconingError("budget must be at least 1 per second")
         self.hsm = hsm = identity.hsm
         hsm.active_root  # raises RootStateError before any beacon arrives
         self.identity = identity
@@ -344,7 +317,10 @@ class BeaconSecurity:
         self.neighbors: dict[bytes, NeighborEntry] = {}
         self.neighbor_expiry_ms = neighbor_expiry_ms
         self._new_neighbor = False
-        self.budget = VerificationBudget(budget_per_second)
+        # At most ``budget_per_second`` units in any sliding second: the time
+        # of each unit spent in the last second, oldest first.
+        self.budget_per_second = budget_per_second
+        self._spent_at: deque[int] = deque()
         self.queue_capacity = queue_capacity
         self.pending_capacity = pending_capacity
         self.freshness_window_ms = freshness_window_ms
@@ -389,8 +365,7 @@ class BeaconSecurity:
             self._beta_remaining = self.strategy.beta
         attach = decide_attach(self.strategy, self.beacons_sent,
                                self._beta_remaining, self._new_neighbor)
-        body = beacon.pack()
-        blob = self.hsm.sign_and_timestamp(active.key_id, body)
+        signed, signature = self.hsm.sign_and_timestamp(active.key_id, beacon.pack())
         active.beacons_signed += 1
         self.beacons_sent += 1
         if self._beta_remaining > 0:
@@ -399,8 +374,7 @@ class BeaconSecurity:
         cert = active.certificate if attach else None
         if attach:
             self.beacons_sent_with_cert += 1
-        return SecuredBeacon(beacon, active.pseudonym_id, blob.signature, cert,
-                             signed_payload(body, blob.timestamp))
+        return SecuredBeacon(beacon, active.pseudonym_id, signature, cert, signed)
 
     # -- receiving -----------------------------------------------------------
 
@@ -496,16 +470,19 @@ class BeaconSecurity:
         its subject key then checks the signature like a known key's. A job
         that went stale while it waited, or whose cached key's certificate
         expired, is discarded without a curve operation but is still charged
-        its units, so the queue drains at the rate the budget sets. All units
-        spent here carry the same timestamp, so they are charged to the
-        budget in one entry at the end. A drain that uses up the budget
-        records when it refills; no drain before then could verify anything,
-        so callers skip it.
+        its units, so the queue drains at the rate the budget sets. Units
+        spent a second or more ago leave the window first; those spent here
+        join it at the end, each stamped ``now``. A drain that uses up the
+        budget records when the oldest unit leaves the window; no drain
+        before then could verify anything, so callers skip it.
         """
         queue = self._queue
         queued_trust = self._queued_trust
-        budget = self.budget
-        left = start = budget.available(now)
+        spent_at = self._spent_at
+        horizon = now - 1000
+        while spent_at and spent_at[0] <= horizon:
+            spent_at.popleft()
+        left = start = self.budget_per_second - len(spent_at)
         suite = self.suite
         verify = suite.verify
         deliver = self.deliver
@@ -543,12 +520,12 @@ class BeaconSecurity:
                 self._discard("bad_signature")
         spent = start - left
         if spent:
-            budget.consume(now, spent)
+            spent_at.extend(repeat(now, spent))
             second = now // 1000
             by_second = self.units_by_second
             by_second[second] = by_second.get(second, 0) + spent
         if left <= 0:
-            self._idle_until = budget.refill_time()
+            self._idle_until = spent_at[0] + 1000
 
     def _trust(self, pid: bytes, public_key: bytes, validity_end: int, now: int) -> None:
         """Cache a neighbor's verified key, recording its time to trust the

@@ -10,12 +10,12 @@ Root keys follow a chain-of-custody rule: the very first root is installed
 unauthenticated at provisioning time, and every later root must arrive in an
 update package signed by the root it replaces.
 
-Wire formats
-------------
-``SignedBlob.to_bytes``: 8-byte big-endian millisecond timestamp, then the
-signature field (DER, zero-padded to 64 bytes). The signature covers
-``message || timestamp``. Nothing parses these bytes back: a secured beacon
-carries the same two fields, and ``beaconing`` parses them.
+Formats
+-------
+``Hsm.sign_and_timestamp`` returns ``(signed, signature)``: ``signed`` is
+``message || timestamp``, the timestamp an 8-byte big-endian count of ms on
+the trusted clock, and it is exactly the bytes the signature covers. A
+secured beacon carries ``signed`` as is; ``beaconing`` owns its wire format.
 
 ECIES envelope: 57-byte ephemeral uncompressed point, 16-byte IV, AES-128-CBC
 body (PKCS#7), 20-byte HMAC-SHA1 tag over ``IV || body``. The ephemeral ECDH
@@ -34,7 +34,7 @@ from enum import Enum
 from random import Random
 
 from .clocks import VirtualClock
-from .suites import POINT_LEN, SignatureSuite, SuiteError, is_point, pad_signature
+from .suites import POINT_LEN, SignatureSuite, SuiteError, is_point
 
 TIMESTAMP_LEN = 8
 
@@ -44,11 +44,6 @@ _ECIES_KDF_INFO = b"v2x-ecies-v1"
 ECIES_OVERHEAD = POINT_LEN + _ECIES_IV_LEN + _ECIES_TAG_LEN
 
 _pack_timestamp = struct.Struct(">Q").pack
-
-
-def signed_payload(message: bytes, timestamp: int) -> bytes:
-    """The bytes a timestamped signature covers: ``message || timestamp``."""
-    return message + _pack_timestamp(timestamp)
 
 
 class HsmError(Exception):
@@ -90,17 +85,6 @@ class KeySlot:
     public_key: bytes
     created_at: int
     revoked: bool
-
-
-@dataclass(frozen=True, slots=True)
-class SignedBlob:
-    """Timestamped signature as produced by :meth:`Hsm.sign_and_timestamp`."""
-
-    timestamp: int
-    signature: bytes
-
-    def to_bytes(self) -> bytes:
-        return _pack_timestamp(self.timestamp) + pad_signature(self.signature)
 
 
 @dataclass(frozen=True)
@@ -234,13 +218,16 @@ class Hsm:
 
     # -- operations ------------------------------------------------------------
 
-    def sign_and_timestamp(self, key_id: str, message: bytes) -> SignedBlob:
-        """Sign ``message || timestamp`` with a slot key at the trusted time."""
+    def sign_and_timestamp(self, key_id: str, message: bytes) -> tuple[bytes, bytes]:
+        """Sign ``message || timestamp`` with a slot key at the trusted time.
+
+        Returns ``(signed, signature)``, where ``signed`` is the bytes the
+        signature covers: ``message`` followed by the 8-byte timestamp.
+        """
         with self._lock:
             slot = self._usable_slot(key_id)
-            ts = self._read_clock_locked()
-            sig = self._suite.sign(slot.private_handle, signed_payload(message, ts))
-        return SignedBlob(ts, sig)
+            signed = message + _pack_timestamp(self._read_clock_locked())
+            return signed, self._suite.sign(slot.private_handle, signed)
 
     def decrypt(self, key_id: str, ciphertext: bytes) -> bytes:
         """Open an ECIES envelope addressed to the slot's public key."""
@@ -266,16 +253,6 @@ class Hsm:
         """Raw private scalars, for secrecy audits only (see selftest)."""
         with self._lock:
             return [self._suite.private_scalar_bytes(s.private_handle) for s in self._slots.values()]
-
-
-def verify_signed_blob(
-    public_key: bytes,
-    message: bytes,
-    blob: SignedBlob,
-    suite: SignatureSuite,
-) -> bool:
-    """Check a timestamped signature. Malformed input verifies as False."""
-    return suite.verify(public_key, signed_payload(message, blob.timestamp), blob.signature)
 
 
 # -- ECIES ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .gateway import (
     TransitionSpec,
 )
 from .hsm import (
+    TIMESTAMP_LEN,
     Hsm,
     HsmError,
     KeyRole,
@@ -37,7 +38,6 @@ from .hsm import (
     UnknownKeyError,
     authorize_root_update,
     encrypt_for,
-    verify_signed_blob,
 )
 from .suites import SignatureSuite
 
@@ -118,10 +118,12 @@ def _op_sign(h: _HsmHarness) -> None:
         return
     key_id, public = h.rng.choice(h.live_keys)
     message = h.rng.randbytes(h.rng.randint(0, 64))
-    blob = h.hsm.sign_and_timestamp(key_id, message)
-    h.note(blob.to_bytes())
-    h.note(blob.signature)
-    if not verify_signed_blob(public, message, blob, h.suite):
+    signed, signature = h.hsm.sign_and_timestamp(key_id, message)
+    h.note(signed)
+    h.note(signature)
+    if signed[:-TIMESTAMP_LEN] != message:
+        h.fail("signed bytes are not the message and a timestamp")
+    if not h.suite.verify(public, signed, signature):
         h.fail("fresh signature failed to verify")
 
 

@@ -174,7 +174,9 @@ for _field in fields(ScenarioConfig):
 
 def load_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file. Any problem raises ScenarioError."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header can name the empty section, so ``[DEFAULT]`` is an ordinary
+    # (unknown) section rather than defaults merged into every other one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys are case sensitive, like the field names
     try:
         read = parser.read(path, encoding="utf-8")

@@ -21,14 +21,14 @@ from v2xsec.beaconing import (
     BeaconSecurity,
     BeaconingError,
     MalformedBeaconError,
+    NeighborEntry,
     NoActivePseudonymError,
     OmissionStrategy,
     SecuredBeacon,
-    VerificationBudget,
     decide_attach,
 )
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import TIMESTAMP_LEN, Hsm, RootStateError, authorize_root_update, signed_payload
+from v2xsec.hsm import TIMESTAMP_LEN, Hsm, RootStateError, authorize_root_update
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -199,10 +199,11 @@ def _signed_as(signer, pseudonym_id, beacon, certificate=None, good=True):
     """``beacon`` claiming ``pseudonym_id``, signed with ``signer``'s active
     key; unless ``good``, the signature covers other bytes."""
     body = beacon.pack()
-    blob = signer.hsm.sign_and_timestamp(signer.identity.active.key_id,
-                                         body if good else body[::-1])
-    return SecuredBeacon(beacon, pseudonym_id, blob.signature, certificate,
-                         signed_payload(body, blob.timestamp))
+    signed, signature = signer.hsm.sign_and_timestamp(signer.identity.active.key_id,
+                                                      body if good else body[::-1])
+    if not good:
+        signed = body + signed[BEACON_BODY_LEN:]  # body || timestamp, as the wire has it
+    return SecuredBeacon(beacon, pseudonym_id, signature, certificate, signed)
 
 
 def _strategy_for(variant, alpha, beta):
@@ -328,42 +329,83 @@ def test_neighbor_last_seen_never_regresses(sender, receiver):
 # -- verification budget ---------------------------------------------------------------
 
 
-def test_budget_window_matches_reference():
+def _trusting(receiver, sender):
+    """Put ``sender``'s active pseudonym in ``receiver``'s neighbor table as
+    already trusted, so each of its beacons is a one-unit job and no unit
+    goes to first contact."""
+    active = sender.identity.active
+    entry = receiver.neighbors[active.pseudonym_id] = NeighborEntry(0)
+    entry.trust = (active.certificate.subject_public_key, active.certificate.validity_end)
+    return active.pseudonym_id
+
+
+def _known_key_jobs(receiver, sender, pid, now, count):
+    sb = _signed_as(sender, pid, _beacon(now))
+    for _ in range(count):
+        receiver.on_receive(sb, now)
+
+
+def test_budget_window_matches_reference(fast_suite, ca):
+    """Whenever the receiver runs, it charges as many units as jobs wait, up
+    to what the reference window leaves of the cap at that time."""
     rng = Random(0xB0D6E7)
+    sender = _vehicle(fast_suite, ca, seed=310)
     for trial in range(50):
         cap = rng.randint(1, 60)
-        budget = VerificationBudget(cap)
+        receiver = _vehicle(fast_suite, ca, seed=311, budget_per_second=cap,
+                            queue_capacity=10**6)
+        pid = _trusting(receiver, sender)
         spends = []
         now = 0
         for _ in range(100):
             now += rng.randint(0, 400)
-            expected = budget_available_reference(spends, now, cap)
-            assert budget.available(now) == expected, (trial, now, spends)
-            if expected > 0 and rng.random() < 0.7:
-                units = rng.randint(1, min(3, expected))
-                budget.consume(now, units)
-                spends.append((now, units))
+            arrivals = rng.choice((0, 0, 1, 2, 3, rng.randint(0, 2 * cap)))
+            waiting = receiver.queue_depth + arrivals
+            expected = min(waiting, budget_available_reference(spends, now, cap))
+            before = receiver.units_used
+            _known_key_jobs(receiver, sender, pid, now, arrivals)
+            receiver.verification_step(now)
+            charged = receiver.units_used - before
+            assert charged == expected, (trial, now, spends)
+            assert receiver.queue_depth == waiting - charged
+            if charged:
+                spends.append((now, charged))
+        _assert_funnel(receiver)
 
 
-def test_budget_restores_after_exactly_one_second():
-    budget = VerificationBudget(10)
-    budget.consume(0, 10)
-    assert budget.available(999) == 0
-    assert budget.available(1000) == 10
+def test_budget_restores_after_exactly_one_second(sender, fast_suite, ca):
+    receiver = _vehicle(fast_suite, ca, seed=312, budget_per_second=10)
+    pid = _trusting(receiver, sender)
+    _known_key_jobs(receiver, sender, pid, 0, 15)
+    assert receiver.delivered_count == 10 and receiver.queue_depth == 5
+    receiver.verification_step(999)
+    assert receiver.delivered_count == 10 and receiver.queue_depth == 5
+    receiver.verification_step(1000)
+    assert receiver.delivered_count == 15 and receiver.queue_depth == 0
+    assert receiver.units_by_second == {0: 10, 1: 5}
 
     with pytest.raises(BeaconingError):
-        VerificationBudget(0)
+        _vehicle(fast_suite, ca, seed=313, budget_per_second=0)
 
 
-def test_budget_refill_time():
-    budget = VerificationBudget(3)
-    assert budget.refill_time() == 0  # nothing spent, nothing to wait for
-    budget.consume(100, 2)
-    budget.consume(400, 1)
-    assert budget.refill_time() == 1100
-    assert budget.available(1099) == 0
-    assert budget.available(1100) == 2
-    assert budget.refill_time() == 1400
+def test_budget_refill_time(sender, fast_suite, ca):
+    """Spent units come back one second after they were spent, oldest
+    first."""
+    receiver = _vehicle(fast_suite, ca, seed=314, budget_per_second=3)
+    pid = _trusting(receiver, sender)
+    _known_key_jobs(receiver, sender, pid, 100, 2)
+    _known_key_jobs(receiver, sender, pid, 400, 1)
+    assert receiver.delivered_count == 3
+    _known_key_jobs(receiver, sender, pid, 1099, 3)
+    receiver.verification_step(1099)
+    assert receiver.delivered_count == 3 and receiver.queue_depth == 3
+    receiver.verification_step(1100)  # the two units spent at 100 are back
+    assert receiver.delivered_count == 5 and receiver.queue_depth == 1
+    receiver.verification_step(1399)
+    assert receiver.queue_depth == 1
+    receiver.verification_step(1400)
+    assert receiver.delivered_count == 6 and receiver.queue_depth == 0
+    _assert_funnel(receiver)
 
 
 def test_first_contact_waits_for_two_units_at_queue_head(sender, fast_suite, ca):

@@ -21,15 +21,12 @@ from v2xsec.hsm import (
     RevokedKeyError,
     RootStateError,
     RootUpdatePackage,
-    SignedBlob,
     UnknownKeyError,
     authorize_root_update,
     encrypt_for,
-    verify_signed_blob,
 )
 from v2xsec.identity import CertificateAuthority, verify_certificate
 from v2xsec.selftest import run_hsm_security_suite
-from v2xsec.suites import SIG_FIELD_LEN, pad_signature
 
 from .oracles import pkcs7_ecies_length
 
@@ -157,28 +154,23 @@ def test_revocation_blocks_signing_but_keeps_public_view(hsm):
 def test_sign_and_timestamp_covers_message_and_time(hsm, clock, fast_suite):
     kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
     clock.set(123_456)
-    blob = hsm.sign_and_timestamp(kid, b"beacon body")
-    assert blob.timestamp == 123_456
-    # the signature must cover message || big-endian timestamp, nothing else
-    payload = b"beacon body" + struct.pack(">Q", 123_456)
-    assert fast_suite.verify(pub, payload, blob.signature)
-    assert verify_signed_blob(pub, b"beacon body", blob, fast_suite)
-    assert not verify_signed_blob(pub, b"beacon bodY", blob, fast_suite)
-    tampered = SignedBlob(timestamp=blob.timestamp + 1, signature=blob.signature)
-    assert not verify_signed_blob(pub, b"beacon body", tampered, fast_suite)
+    signed, signature = hsm.sign_and_timestamp(kid, b"beacon body")
+    # the signed bytes are message || big-endian timestamp, and the signature
+    # covers exactly them
+    assert signed == b"beacon body" + struct.pack(">Q", 123_456)
+    assert fast_suite.verify(pub, signed, signature)
+    assert not fast_suite.verify(pub, b"beacon bodY" + signed[-TIMESTAMP_LEN:], signature)
+    restamped = signed[:-1] + bytes([signed[-1] ^ 1])
+    assert not fast_suite.verify(pub, restamped, signature)
 
 
 def test_verifiers_require_a_suite(hsm, ca, fast_suite):
     """Nothing guesses a suite or a clock: a default suite would reject every
-    genuine ``fast`` blob and certificate as bad, or make ``p224`` keys in a
-    ``fast`` run."""
+    genuine ``fast`` certificate as bad, or make ``p224`` keys in a ``fast``
+    run."""
     kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
-    blob = hsm.sign_and_timestamp(kid, b"m")
     cert = ca.issue(pub, 0, 1000)
-    assert verify_signed_blob(pub, b"m", blob, fast_suite)
     assert verify_certificate(cert, ca.public_key, 0, fast_suite)
-    with pytest.raises(TypeError):
-        verify_signed_blob(pub, b"m", blob)
     with pytest.raises(TypeError):
         verify_certificate(cert, ca.public_key, 0)
     for incomplete in (lambda: Hsm(), lambda: Hsm(VirtualClock(0)),
@@ -186,16 +178,6 @@ def test_verifiers_require_a_suite(hsm, ca, fast_suite):
                        lambda: run_hsm_security_suite(sequences=1)):
         with pytest.raises(TypeError):
             incomplete()
-
-
-def test_signed_blob_wire_format(hsm, clock):
-    kid, _ = hsm.generate_key(KeyRole.SHORT_TERM)
-    clock.set(77)
-    blob = hsm.sign_and_timestamp(kid, b"m")
-    wire = blob.to_bytes()
-    assert len(wire) == TIMESTAMP_LEN + SIG_FIELD_LEN == 72
-    assert wire[:TIMESTAMP_LEN] == struct.pack(">Q", 77)
-    assert wire[TIMESTAMP_LEN:] == pad_signature(blob.signature)
 
 
 class _YieldingClock(VirtualClock):
@@ -248,11 +230,13 @@ def test_concurrent_callers_see_one_linear_history(fast_suite):
     created = [slot.created_at for slot in slots]
     assert created == sorted(created)
     for out in seen:
-        for _, public, message, blob, _ in out:
-            assert verify_signed_blob(public, message, blob, fast_suite)
+        for _, public, message, (signed, signature), _ in out:
+            assert signed[:-TIMESTAMP_LEN] == message
+            assert fast_suite.verify(public, signed, signature)
         reads = [read for *_, read in out]
         assert reads == sorted(reads)
-        stamps = [blob.timestamp for _, _, _, blob, _ in out]
+        stamps = [int.from_bytes(signed[-TIMESTAMP_LEN:], "big")
+                  for _, _, _, (signed, _), _ in out]
         assert stamps == sorted(stamps)
 
 

@@ -455,6 +455,13 @@ def test_load_scenario(tmp_path):
 
 @pytest.mark.parametrize("text, needle", [
     ("[mystery]\nx = 1\n", "unknown section"),
+    # [DEFAULT] is a section like any other, not defaults for every section
+    ("[DEFAULT]\nvehicle_count = 3\nbogus = 1\n", r"unknown section \[DEFAULT\]"),
+    ("[scenario]\nseed = 5\n[DEFAULT]\nvehicle_count = 3\n",
+     r"unknown section \[DEFAULT\]"),
+    ("[DEFAULT]\nvehicle_cnt = 3\n[pseudonym]\npool_size = 4\n",
+     r"unknown section \[DEFAULT\]"),
+    ("[]\nvehicle_count = 3\n", "no section headers"),  # no header names the empty section
     ("[scenario]\nvehicle_cnt = 3\n", "unknown key"),
     ("[scenario]\nvehicle_count = many\n", "vehicle_count"),
     ("[scenario]\nduration_s = 5\nwarmup_s = 5\n", "warmup_s"),
