@@ -14,16 +14,18 @@ afford). The budget is a cap on units (one unit per curve operation) spent in
 any sliding second; the receiver keeps it as a window holding the time of
 each unit it spent in the last second. On first contact the job checks the
 attached certificate under the root of trust in the receiver's own HSM and
-that it is the one the claimed id names, then the signature under its key:
-the same signature check a known sender's beacon gets under the cached key.
-Beacons reach the application only after that check: unverified traffic
-stays pending and is never delivered. Freshness and certificate validity are
-checked on arrival and again when a job reaches the queue head, so nothing
-goes stale waiting for its turn. The neighbor table is the only per-neighbor
-state: an entry holds its trust pair of verified key and certificate end
-(None until trusted), the beacons awaiting a certificate, and the
-first-beacon time that time to trust runs from. Two bounded deques in
-lockstep hold each queued job's beacon and trust pair: no object per job.
+that it is the one the claimed id names; trust in the neighbor comes from
+that check alone, since the id is the certificate's hash. Then the job's
+signature is checked under the certified key, the same check a known sender's
+beacon gets under the cached key. Beacons reach the application only after
+their signature check: unverified traffic stays pending and is never
+delivered. Freshness and certificate validity are checked on arrival and
+again when a job reaches the queue head, so nothing goes stale waiting for
+its turn. The neighbor table is the only per-neighbor state: an entry holds
+its trust pair of verified key and certificate end (None until trusted), the
+beacons awaiting a certificate, and the first-beacon time that time to trust
+runs from. Two bounded deques in lockstep hold each queued job's beacon and
+trust pair: no object per job.
 
 A beacon's fate is usually settled in a later drain of the queue, not in the
 call that received it, so receive calls return nothing: the receiver's
@@ -204,7 +206,9 @@ class SecuredBeacon:
         ))
 
     @classmethod
-    def from_wire(cls, data: bytes) -> "SecuredBeacon":
+    def from_wire(cls, data: bytes | bytearray | memoryview) -> "SecuredBeacon":
+        """Decode any bytes-like input; the fields are always ``bytes``."""
+        data = bytes(memoryview(data))
         if data[:_PID_AT] != _SECURED_TAG:
             raise MalformedBeaconError("not a secured beacon")
         if len(data) not in (SECURED_BEACON_LEN, SECURED_BEACON_WITH_CERT_LEN):
@@ -304,8 +308,11 @@ class BeaconSecurity:
             raise BeaconingError("capacities must be positive")
         if neighbor_expiry_ms <= 0:
             raise BeaconingError("neighbor expiry must be positive")
-        if budget_per_second < 1:
-            raise BeaconingError("budget must be at least 1 per second")
+        if budget_per_second < 2:
+            raise BeaconingError("budget must be at least 2 per second, "
+                                 "the units one first contact costs")
+        if freshness_window_ms < 1:
+            raise BeaconingError("freshness window must be positive")
         self.hsm = hsm = identity.hsm
         hsm.active_root  # raises RootStateError before any beacon arrives
         self.identity = identity
@@ -378,7 +385,7 @@ class BeaconSecurity:
 
     # -- receiving -----------------------------------------------------------
 
-    def receive_wire(self, data: bytes, now: int) -> None:
+    def receive_wire(self, data: bytes | bytearray | memoryview, now: int) -> None:
         try:
             sb = SecuredBeacon.from_wire(data)
         except MalformedBeaconError as exc:
@@ -461,19 +468,21 @@ class BeaconSecurity:
         """Verify from the queue head while the budget lasts.
 
         Each job's fate lands in the counters and, when it verifies, in the
-        delivery callback. A known-key job is checked under the trust pair
-        it was queued with, even if its neighbor entry has since expired or
-        been trusted anew. A first contact costs two units: its attached
-        certificate must verify under the HSM's active root and be the one
-        the claimed pseudonym id names (the signature does not cover the id),
-        or the job is discarded for one unit without trying the signature;
-        its subject key then checks the signature like a known key's. A job
-        that went stale while it waited, or whose cached key's certificate
-        expired, is discarded without a curve operation but is still charged
-        its units, so the queue drains at the rate the budget sets. Units
-        spent a second or more ago leave the window first; those spent here
-        join it at the end, each stamped ``now``. A drain that uses up the
-        budget records when the oldest unit leaves the window; no drain
+        delivery callback. A known-key job is checked under the trust pair it
+        was queued with, even if its neighbor entry has since expired or been
+        trusted anew. A first contact waits at the head for two units and
+        checks its certificate first, stale or not: it must verify under the
+        HSM's active root and be the one the claimed pseudonym id names (the
+        signature does not cover the id), or the job is discarded for one
+        unit. Otherwise the neighbor is trusted (the id is the certificate's
+        hash, so the certificate alone binds the key to it), and the job,
+        charged its second unit, goes on as a known-key job under the
+        certified key. A job that went stale while it waited, or whose key's
+        certificate expired, is discarded without a signature check but is
+        still charged its units, so the queue drains at the rate the budget
+        sets. Units spent a second or more ago leave the window first; those
+        spent here join it at the end, each stamped ``now``. A drain that uses
+        up the budget records when the oldest unit leaves the window; no drain
         before then could verify anything, so callers skip it.
         """
         queue = self._queue
@@ -492,27 +501,25 @@ class BeaconSecurity:
                 break  # a first contact waits at the head for its two units
             trust = queued_trust.popleft()
             sb = queue.popleft()
-            left -= 2 if trust is None else 1
+            left -= 1
+            if trust is None:
+                cert = sb.certificate
+                pid = sb.signer_pseudonym_id
+                if pid != cert.pseudonym_id() or not verify_certificate(
+                        cert, self.hsm.active_root, now, suite):
+                    self._discard("bad_certificate")
+                    continue
+                left -= 1
+                trust = (cert.subject_public_key, cert.validity_end)
+                self._trust(pid, trust, now)
             delta = now - sb.beacon.generation_time
             if delta > window or -delta > window:
                 self._discard("stale")
                 continue
-            if trust is None:
-                cert = sb.certificate
-                if sb.signer_pseudonym_id != cert.pseudonym_id() or not verify_certificate(
-                        cert, self.hsm.active_root, now, suite):
-                    self._discard("bad_certificate")
-                    left += 1
-                    continue
-                public_key = cert.subject_public_key
-                validity_end = cert.validity_end
-            else:
-                public_key, validity_end = trust
+            public_key, validity_end = trust
             if now > validity_end:
                 self._discard("expired_certificate")
             elif verify(public_key, sb.signed_payload, sb.signature):
-                if trust is None:
-                    self._trust(sb.signer_pseudonym_id, public_key, validity_end, now)
                 self.delivered_count += 1
                 if deliver is not None:
                     deliver(sb, now)
@@ -527,16 +534,16 @@ class BeaconSecurity:
         if left <= 0:
             self._idle_until = spent_at[0] + 1000
 
-    def _trust(self, pid: bytes, public_key: bytes, validity_end: int, now: int) -> None:
-        """Cache a neighbor's verified key, recording its time to trust the
-        first time, and queue the beacons it held, except those that went
-        stale while they waited."""
+    def _trust(self, pid: bytes, trust: _Trust, now: int) -> None:
+        """Cache a neighbor's trust pair once its certificate has verified,
+        recording its time to trust the first time, and queue the beacons it
+        held, except those that went stale while they waited."""
         entry = self.neighbors.get(pid)
         if entry is None:
             return
         if entry.trust is None:
             self.time_to_trust_ms.append(now - entry.first_seen)
-        entry.trust = trust = (public_key, validity_end)
+        entry.trust = trust
         held, entry.held = entry.held, None
         if held:
             window = self.freshness_window_ms

@@ -1,10 +1,9 @@
 """Software reference model of a vehicular hardware security module.
 
-The module keeps private keys in protected slots and exposes a deliberately
-small surface: generate keys, sign with a trusted timestamp, decrypt, rotate
-the root verification key, revoke, and read the trusted clock. Private key
-material never crosses the API boundary; callers only ever see key ids and
-public points.
+The module exposes a deliberately small surface: generate keys, sign with a
+trusted timestamp, decrypt, rotate the root verification key, revoke, and
+read the trusted clock. Per key it keeps only the private handle and whether
+the key is revoked; private key material never crosses the API boundary.
 
 Root keys follow a chain-of-custody rule: the very first root is installed
 unauthenticated at provisioning time, and every later root must arrive in an
@@ -77,17 +76,6 @@ class KeyRole(Enum):
 
 
 @dataclass(frozen=True)
-class KeySlot:
-    """Public view of one stored key. Never carries private material."""
-
-    key_id: str
-    role: KeyRole
-    public_key: bytes
-    created_at: int
-    revoked: bool
-
-
-@dataclass(frozen=True)
 class RootUpdatePackage:
     """A candidate root public key plus the incumbent root's signature over it."""
 
@@ -101,19 +89,6 @@ def authorize_root_update(
     """Build an update package on the authority side (outside any HSM)."""
     sig = suite.sign(incumbent_private_handle, new_root_public_key)
     return RootUpdatePackage(new_root_public_key=new_root_public_key, authorization=sig)
-
-
-class _Slot:
-    __slots__ = ("key_id", "role", "private_handle", "public_key", "created_at", "revoked")
-
-    def __init__(self, key_id: str, role: KeyRole, private_handle: object,
-                 public_key: bytes, created_at: int) -> None:
-        self.key_id = key_id
-        self.role = role
-        self.private_handle = private_handle
-        self.public_key = public_key
-        self.created_at = created_at
-        self.revoked = False
 
 
 class Hsm:
@@ -131,7 +106,8 @@ class Hsm:
         self._suite = suite
         self._rng = rng
         self._lock = threading.RLock()
-        self._slots: dict[str, _Slot] = {}
+        self._keys: dict[str, object] = {}
+        self._revoked: set[str] = set()
         self._root_public: bytes | None = None
         self._next_id = 0
         self._last_clock = 0
@@ -188,7 +164,7 @@ class Hsm:
             self._root_public = bytes(package.new_root_public_key)
             return True
 
-    # -- key slots -----------------------------------------------------------
+    # -- keys ------------------------------------------------------------------
 
     def generate_key(self, role: KeyRole) -> tuple[str, bytes]:
         """Create a key pair inside the module; returns (key_id, public_key)."""
@@ -198,52 +174,44 @@ class Hsm:
             handle, public = self._suite.generate_keypair(self._rng)
             key_id = f"key-{self._next_id:06d}"
             self._next_id += 1
-            self._slots[key_id] = _Slot(key_id, role, handle, public, self._read_clock_locked())
+            self._keys[key_id] = handle
             return key_id, public
 
     def revoke_key(self, key_id: str) -> None:
-        """Mark a key unusable. Idempotent; the slot's public view remains."""
+        """Mark a key unusable. Idempotent."""
         with self._lock:
-            slot = self._slots.get(key_id)
-            if slot is None:
+            if key_id not in self._keys:
                 raise UnknownKeyError(key_id)
-            slot.revoked = True
-
-    def slots(self) -> list[KeySlot]:
-        with self._lock:
-            return [
-                KeySlot(s.key_id, s.role, s.public_key, s.created_at, s.revoked)
-                for s in self._slots.values()
-            ]
+            self._revoked.add(key_id)
 
     # -- operations ------------------------------------------------------------
 
     def sign_and_timestamp(self, key_id: str, message: bytes) -> tuple[bytes, bytes]:
-        """Sign ``message || timestamp`` with a slot key at the trusted time.
+        """Sign ``message || timestamp`` with a stored key at the trusted time.
 
         Returns ``(signed, signature)``, where ``signed`` is the bytes the
         signature covers: ``message`` followed by the 8-byte timestamp.
         """
         with self._lock:
-            slot = self._usable_slot(key_id)
+            handle = self._usable_key(key_id)
             signed = message + _pack_timestamp(self._read_clock_locked())
-            return signed, self._suite.sign(slot.private_handle, signed)
+            return signed, self._suite.sign(handle, signed)
 
     def decrypt(self, key_id: str, ciphertext: bytes) -> bytes:
-        """Open an ECIES envelope addressed to the slot's public key."""
+        """Open an ECIES envelope addressed to the key's public point."""
         with self._lock:
-            slot = self._usable_slot(key_id)
-            return _ecies_decrypt(self._suite, slot.private_handle, ciphertext)
+            return _ecies_decrypt(self._suite, self._usable_key(key_id), ciphertext)
 
     # -- internals ---------------------------------------------------------------
 
-    def _usable_slot(self, key_id: str) -> _Slot:
-        slot = self._slots.get(key_id)
-        if slot is None:
+    def _usable_key(self, key_id: str) -> object:
+        """The private handle of ``key_id``, if it exists and is not revoked."""
+        handle = self._keys.get(key_id)
+        if handle is None:
             raise UnknownKeyError(key_id)
-        if slot.revoked:
+        if key_id in self._revoked:
             raise RevokedKeyError(key_id)
-        return slot
+        return handle
 
     def _check_public(self, public_key: bytes) -> None:
         if not is_point(public_key):
@@ -252,7 +220,7 @@ class Hsm:
     def _private_scalars(self) -> list[bytes]:
         """Raw private scalars, for secrecy audits only (see selftest)."""
         with self._lock:
-            return [self._suite.private_scalar_bytes(s.private_handle) for s in self._slots.values()]
+            return [self._suite.private_scalar_bytes(h) for h in self._keys.values()]
 
 
 # -- ECIES ----------------------------------------------------------------------

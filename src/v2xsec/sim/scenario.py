@@ -144,7 +144,8 @@ class ScenarioConfig:
         need(self.beta >= 0, "beta must be >= 0")
         need(self.freshness_window_ms > 0, "freshness_window_ms must be positive")
         need(self.neighbor_expiry_ms > 0, "neighbor_expiry_ms must be positive")
-        need(self.budget_per_second >= 1, "budget_per_second must be >= 1")
+        need(self.budget_per_second >= 2,
+             "budget_per_second must be >= 2, the units one first contact costs")
         need(self.queue_capacity >= 1, "queue_capacity must be >= 1")
         need(self.pending_capacity >= 1, "pending_capacity must be >= 1")
         need(self.pool_size >= 1, "pool_size must be >= 1")

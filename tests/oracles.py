@@ -234,7 +234,8 @@ def receiver_reference(schedule, senders, *, queue_capacity, pending_capacity,
 
     * A beacon generated more than the freshness window before or after
       ``now`` is stale: on arrival it is discarded, at dequeue it is
-      discarded and still charged its units.
+      discarded and still charged its units (after a first contact's
+      certificate check, below).
     * Every fresh arrival creates or refreshes the neighbour entry of the id
       it claims; the last-heard time never goes backwards.
     * A trusted entry's beacon is discarded on arrival if its certificate has
@@ -252,13 +253,15 @@ def receiver_reference(schedule, senders, *, queue_capacity, pending_capacity,
       otherwise its signature decides between delivery and
       ``bad_signature`` (an impostor's signature never checks under the
       sender's key).
-    * A first contact whose certificate is untrusted, outside its validity
-      or names another id is ``bad_certificate`` and costs 1 unit. Otherwise
-      it costs 2 and its signature decides. On delivery the entry, if it is
-      still in the table, becomes trusted until the certificate's end; the
-      first time, the ms since the entry's first beacon are a time-to-trust
-      sample. Its pending beacons are then queued behind it as 1-unit jobs,
-      except the stale ones, which are discarded.
+    * A first contact's certificate is checked first, stale or not. One
+      that is untrusted, outside its validity or names another id is
+      ``bad_certificate`` and costs 1 unit. Otherwise it costs 2, and the
+      entry, if it is still in the table, becomes trusted until the
+      certificate's end; the first time, the ms since the entry's first
+      beacon are a time-to-trust sample. Its pending beacons are then queued
+      behind it as 1-unit jobs, except the stale ones, which are discarded.
+      The job itself then goes on as a 1-unit job would: stale, expired or
+      its signature decides.
     * A sweep drops every entry silent for strictly longer than
       ``expiry_ms``, and the beacons it was holding with it.
     """
@@ -296,36 +299,33 @@ def receiver_reference(schedule, senders, *, queue_capacity, pending_capacity,
             if cost > left:
                 break
             queue.pop(0)
-            if stale(rx, now):
-                discard("stale")
-            elif not first_contact:
-                if now > trusted_until:
-                    discard("expired_certificate")
-                elif rx["sig_good"] and rx["bind_good"]:
-                    deliver(rx, now)
-                else:
-                    discard("bad_signature")
-            else:
+            if first_contact:
                 own = senders[rx["sender"]]
                 if not (rx["bind_good"] and own["trusted"] and now <= own["validity_end"]):
                     discard("bad_certificate")
-                    cost = 1
-                elif not rx["sig_good"]:
-                    discard("bad_signature")
-                else:
-                    entry = table.get(rx["sender"])
-                    held = []
-                    if entry is not None:
-                        if entry["trusted_until"] is None:
-                            time_to_trust.append(now - entry["first"])
-                        entry["trusted_until"] = own["validity_end"]
-                        held, entry["held"] = entry["held"], []
-                    deliver(rx, now)
+                    left -= 1
+                    spent += 1
+                    continue
+                trusted_until = own["validity_end"]
+                entry = table.get(rx["sender"])
+                if entry is not None:
+                    if entry["trusted_until"] is None:
+                        time_to_trust.append(now - entry["first"])
+                    entry["trusted_until"] = trusted_until
+                    held, entry["held"] = entry["held"], []
                     for waiting in held:
                         if stale(waiting, now):
                             discard("stale")
                         else:
-                            enqueue((waiting, False, own["validity_end"]))
+                            enqueue((waiting, False, trusted_until))
+            if stale(rx, now):
+                discard("stale")
+            elif now > trusted_until:
+                discard("expired_certificate")
+            elif rx["sig_good"] and rx["bind_good"]:
+                deliver(rx, now)
+            else:
+                discard("bad_signature")
             left -= cost
             spent += cost
         if spent:

@@ -351,7 +351,7 @@ def test_budget_window_matches_reference(fast_suite, ca):
     rng = Random(0xB0D6E7)
     sender = _vehicle(fast_suite, ca, seed=310)
     for trial in range(50):
-        cap = rng.randint(1, 60)
+        cap = rng.randint(2, 60)
         receiver = _vehicle(fast_suite, ca, seed=311, budget_per_second=cap,
                             queue_capacity=10**6)
         pid = _trusting(receiver, sender)
@@ -386,6 +386,19 @@ def test_budget_restores_after_exactly_one_second(sender, fast_suite, ca):
 
     with pytest.raises(BeaconingError):
         _vehicle(fast_suite, ca, seed=313, budget_per_second=0)
+
+
+@pytest.mark.parametrize("limits", [
+    # one unit a second could never pay for a first contact, which waits at
+    # the queue head for two: every job behind it would wait forever
+    {"budget_per_second": 1},
+    # a window below 1 ms would discard every beacon as stale
+    {"freshness_window_ms": 0},
+    {"freshness_window_ms": -1},
+], ids=["budget-1", "freshness-0", "freshness-minus-1"])
+def test_limits_that_would_starve_the_receiver_are_rejected(fast_suite, ca, limits):
+    with pytest.raises(BeaconingError):
+        _vehicle(fast_suite, ca, seed=313, **limits)
 
 
 def test_budget_refill_time(sender, fast_suite, ca):
@@ -739,20 +752,50 @@ def test_stale_known_key_job_is_discarded_at_dequeue(sender, fast_suite, ca):
 
 
 def test_stale_first_contact_job_is_discarded_at_dequeue(sender, fast_suite, ca):
-    """A first contact that went stale in the queue verifies nothing: the
-    neighbour stays unverified and no time to trust is recorded."""
-    receiver = _vehicle(fast_suite, ca, seed=312, budget_per_second=2)
+    """A first contact that went stale in the queue is discarded, but its
+    certificate is checked first: the neighbour becomes trusted, its time to
+    trust is recorded, and the fresh beacon it held is released."""
+    delivered = []
+    receiver = _vehicle(fast_suite, ca, seed=312, budget_per_second=3,
+                        deliver=lambda sb, now: delivered.append((sb, now)))
     other = _vehicle(fast_suite, ca, seed=313)
-    receiver.on_receive(other.make_beacon(_beacon(0), 0), 0)  # exhausts budget
+    receiver.on_receive(other.make_beacon(_beacon(0), 0), 0)  # leaves one unit
     first = sender.make_beacon(_beacon(100), 100)
     receiver.on_receive(first, 100)
     assert receiver.queue_depth == 1
-    receiver.verification_step(1200)
-    assert receiver.delivered_count == 1
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    held = sender.make_beacon(_beacon(1150), 1150)
+    receiver.on_receive(held, 1150)
+    assert receiver.pending_count == 1
+    receiver.verification_step(1200)  # 1100 ms after the first contact's generation
     assert receiver.discards == {"stale": 1}
-    assert receiver.neighbors.get(first.signer_pseudonym_id).trust is None
-    assert receiver.time_to_trust_ms == [0]  # the other vehicle's only
-    assert receiver.units_by_second == {0: 2, 1: 2}  # charged both units
+    assert receiver.neighbors[first.signer_pseudonym_id].trust == (
+        first.certificate.subject_public_key, first.certificate.validity_end)
+    assert receiver.time_to_trust_ms == [0, 1100]
+    assert delivered[1:] == [(held, 1200)]
+    assert receiver.units_by_second == {0: 2, 1: 3}  # charged both units, then one
+    _assert_funnel(receiver)
+
+
+def test_first_contact_with_bad_signature_still_establishes_trust(sender, receiver):
+    """The pseudonym id is the certificate's hash, so the verified
+    certificate alone binds its key to the id: the beacon whose signature
+    fails is discarded, but the neighbour is trusted from then on."""
+    active = sender.identity.active
+    cert = active.certificate
+    forged = _signed_as(sender, active.pseudonym_id, _beacon(0), cert, good=False)
+    receiver.on_receive(forged, 0)
+    assert receiver.discards == {"bad_signature": 1}
+    assert receiver.delivered_count == 0 and receiver.units_used == 2
+    assert receiver.neighbors[active.pseudonym_id].trust == (
+        cert.subject_public_key, cert.validity_end)
+    assert receiver.time_to_trust_ms == [0]
+    sender.strategy = OmissionStrategy.neighbor_triggered()
+    later = sender.make_beacon(_beacon(100), 100)
+    assert later.certificate is None
+    receiver.on_receive(later, 100)
+    assert receiver.delivered_log == [(later, 100)]
+    assert receiver.units_used == 3
     _assert_funnel(receiver)
 
 
@@ -831,7 +874,7 @@ _events = st.lists(st.tuples(
 
 @settings(max_examples=300, deadline=None)
 @given(queue_capacity=st.integers(1, 4), pending_capacity=st.integers(1, 3),
-       budget=st.integers(1, 5), expiry_ms=st.sampled_from([300, 1000, 3000]),
+       budget=st.integers(2, 5), expiry_ms=st.sampled_from([300, 1000, 3000]),
        start=st.integers(1300, 2500), events=_events)
 def test_receiver_matches_reference(queue_capacity, pending_capacity, budget, expiry_ms,
                                     start, events):

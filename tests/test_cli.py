@@ -89,6 +89,16 @@ def test_run_rejects_bad_override(scenario_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_a_budget_below_one_first_contact(capsys):
+    """One unit a second could never pay for a first contact, which waits at
+    the queue head for two, so the run would deliver nothing: it is refused
+    before it starts."""
+    assert main(["run", "--scenario", SMOKE, "--set", "budget_per_second=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget_per_second must be >= 2" in captured.err
+
+
 def test_run_missing_scenario_exits_2(capsys):
     assert main(["run", "--scenario", "/nonexistent.ini"]) == 2
     assert "error:" in capsys.readouterr().err

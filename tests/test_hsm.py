@@ -1,4 +1,4 @@
-"""HSM behavior: clock, root custody, key slots, signing, ECIES."""
+"""HSM behavior: clock, root custody, keys, signing, ECIES."""
 
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def test_root_rotation_rejects_mangled_package(fast_suite):
     assert hsm.active_root == root_pub
 
 
-# -- key slots ----------------------------------------------------------------------
+# -- keys ---------------------------------------------------------------------------
 
 
 def test_generate_key_refuses_root_role(hsm):
@@ -117,17 +117,11 @@ def test_generate_key_refuses_root_role(hsm):
         hsm.generate_key(KeyRole.ROOT_VERIFICATION)
 
 
-def test_generated_key_ids_and_slots(hsm):
+def test_generated_key_ids_and_public_keys_are_distinct(hsm):
     kid_a, pub_a = hsm.generate_key(KeyRole.SHORT_TERM)
     kid_b, pub_b = hsm.generate_key(KeyRole.LONG_TERM)
     assert kid_a != kid_b
     assert pub_a != pub_b
-    by_id = {slot.key_id: slot for slot in hsm.slots()}
-    assert by_id[kid_a].public_key == pub_a
-    assert by_id[kid_b].public_key == pub_b
-    assert by_id[kid_a].role is KeyRole.SHORT_TERM
-    assert by_id[kid_b].role is KeyRole.LONG_TERM
-    assert not by_id[kid_a].revoked
 
 
 def test_unknown_key_operations(hsm):
@@ -138,14 +132,15 @@ def test_unknown_key_operations(hsm):
             hsm.revoke_key(key_id)
 
 
-def test_revocation_blocks_signing_but_keeps_public_view(hsm):
+def test_revocation_blocks_signing_and_decryption(hsm, fast_suite):
     kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
+    ct = encrypt_for(pub, b"sealed before revocation", suite=fast_suite, rng=Random(47))
     hsm.revoke_key(kid)
     hsm.revoke_key(kid)  # idempotent
     with pytest.raises(RevokedKeyError):
         hsm.sign_and_timestamp(kid, b"data")
-    view = [(s.public_key, s.revoked) for s in hsm.slots() if s.key_id == kid]
-    assert view == [(pub, True)]
+    with pytest.raises(RevokedKeyError):
+        hsm.decrypt(kid, ct)
 
 
 # -- signing -----------------------------------------------------------------------
@@ -222,13 +217,9 @@ def test_concurrent_callers_see_one_linear_history(fast_suite):
         sys.setswitchinterval(old_interval)
     assert not any(w.is_alive() for w in workers)
 
+    # keys were created one at a time: the ids are distinct and consecutive
     key_ids = sorted(key_id for out in seen for key_id, *_ in out)
     assert key_ids == [f"key-{i:06d}" for i in range(threads * rounds)]
-    # slots were created one at a time, in id order and at nondecreasing times
-    slots = hsm.slots()
-    assert [slot.key_id for slot in slots] == key_ids
-    created = [slot.created_at for slot in slots]
-    assert created == sorted(created)
     for out in seen:
         for _, public, message, (signed, signature), _ in out:
             assert signed[:-TIMESTAMP_LEN] == message

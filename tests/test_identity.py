@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from v2xsec.clocks import VirtualClock
-from v2xsec.hsm import Hsm
+from v2xsec.hsm import Hsm, RevokedKeyError
 from v2xsec.identity import (
     CERT_WIRE_LEN,
     PSEUDONYM_ID_LEN,
@@ -154,8 +154,10 @@ def test_provision_and_activate(fast_suite):
     assert manager.active is None
     active = manager.activate_next(0)
     assert active is manager.active and active.activated_at == 0
-    assert not any(s.revoked for s in hsm.slots())
     assert verify_certificate(active.certificate, ca.public_key, 0, fast_suite)
+    # the active key signs, and the certificate binds its public key
+    signed, signature = hsm.sign_and_timestamp(active.key_id, b"probe")
+    assert fast_suite.verify(active.certificate.subject_public_key, signed, signature)
     # the three provisioned spares allow exactly three activations
     manager.activate_next(1)
     manager.activate_next(2)
@@ -169,10 +171,10 @@ def test_activation_retires_and_revokes_old_key(fast_suite):
     new = manager.activate_next(100)
     assert new is manager.active
     assert new.pseudonym_id != old.pseudonym_id
-    revoked = {s.key_id: s.revoked for s in hsm.slots()}
-    assert revoked[old.key_id] is True
-    assert revoked[new.key_id] is False
-    assert sum(revoked.values()) == 1
+    with pytest.raises(RevokedKeyError):
+        hsm.sign_and_timestamp(old.key_id, b"probe")
+    signed, signature = hsm.sign_and_timestamp(new.key_id, b"probe")
+    assert fast_suite.verify(new.certificate.subject_public_key, signed, signature)
 
 
 def test_pool_exhaustion(fast_suite):

@@ -483,6 +483,8 @@ def test_load_scenario(tmp_path):
      "queue_capacity exceeds the ceiling of 1,000,000,000"),
     ("[verification]\npending_capacity = 100000000000000000000\n",
      "pending_capacity exceeds the ceiling"),
+    # a first contact costs two units, so a budget of one would stall the queue
+    ("[verification]\nbudget_per_second = 1\n", "budget_per_second must be >= 2"),
 ])
 def test_load_scenario_rejects(tmp_path, text, needle):
     path = tmp_path / "bad.ini"

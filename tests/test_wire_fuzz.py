@@ -35,20 +35,21 @@ from v2xsec.sim.scenario import ScenarioConfig, ScenarioError, load_scenario
 from v2xsec.suites import FastHashSuite
 
 
-def _sample_beacon() -> SecuredBeacon:
-    suite = FastHashSuite()
-    ca = CertificateAuthority(1, suite=suite, rng=Random(11))
-    hsm = Hsm(VirtualClock(0), suite, Random(5))
-    hsm.install_factory_root(ca.public_key)
-    manager = IdentityManager(hsm, rng=Random(6))
-    manager.provision(ca, 1, validity_ms=10**6)
+_SUITE = FastHashSuite()
+_CA = CertificateAuthority(1, suite=_SUITE, rng=Random(11))
+
+
+def _station(seed: int, deliver=None) -> BeaconSecurity:
+    hsm = Hsm(VirtualClock(0), _SUITE, Random(seed))
+    hsm.install_factory_root(_CA.public_key)
+    manager = IdentityManager(hsm, rng=Random(seed + 1))
+    manager.provision(_CA, 1, validity_ms=10**6)
     manager.activate_next(0)
-    bsec = BeaconSecurity(manager, OmissionStrategy.always())
-    beacon = Beacon(x=1.5, y=0.0, velocity=30.0, heading=0.0, generation_time=0)
-    return bsec.make_beacon(beacon, 0)
+    return BeaconSecurity(manager, OmissionStrategy.always(), deliver=deliver)
 
 
-_SB = _sample_beacon()
+_SB = _station(5).make_beacon(
+    Beacon(x=1.5, y=0.0, velocity=30.0, heading=0.0, generation_time=0), 0)
 
 # name -> (parse, encode, its error, valid input lengths, one valid input)
 PARSERS = {
@@ -91,6 +92,23 @@ def test_parsers_fail_closed(name, data):
     except error:
         return
     assert encode(decoded) == raw
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_receive_wire_takes_any_bytes_like_input(wrap):
+    """A beacon in a ``bytearray`` or a ``memoryview`` decodes to ``bytes``
+    fields and is delivered, as it is from ``bytes``: a ``bytearray`` id
+    would fail the neighbour lookup after the reception was counted."""
+    wire = _SB.to_wire()
+    decoded = SecuredBeacon.from_wire(wrap(wire))
+    assert decoded == _SB
+    assert {type(v) for v in (decoded.signer_pseudonym_id, decoded.signature,
+                              decoded.signed_payload)} == {bytes}
+    delivered = []
+    receiver = _station(7, deliver=lambda sb, now: delivered.append(sb))
+    receiver.receive_wire(wrap(wire), 0)
+    assert delivered == [_SB]
+    assert receiver.beacons_received == receiver.delivered_count == 1
 
 
 # -- the scenario loader -----------------------------------------------------------

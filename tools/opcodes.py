@@ -1,6 +1,6 @@
 """Count the bytecode a simulation run executes, per workload.
 
-    python3 tools/opcodes.py [--root CHECKOUT]
+    python3 tools/opcodes.py [--root CHECKOUT] [--top N]
 
 Runs two fixed workloads with the ``v2xsec`` sources of ``CHECKOUT``
 (default: the checkout holding this script): 20 simulated s of
@@ -8,7 +8,9 @@ Runs two fixed workloads with the ``v2xsec`` sources of ``CHECKOUT``
 one line: the workload's name and the number of opcodes the interpreter
 executed from ``HighwaySimulation(config)`` through ``run()``, counted with
 ``sys.settrace`` and ``f_trace_opcodes``. Loading the scenario is not
-counted.
+counted. With ``--top N``, each total is followed by the N functions that
+executed the most of those opcodes, one per line as ``share count
+file:function``, from the same traced run.
 
 The counts repeat to the unit on one Python version, so two checkouts can be
 compared on a busy host where wall time cannot resolve a small change:
@@ -24,24 +26,28 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = (("overhead", "overhead.ini", 20), ("saturation", "saturation.ini", 5))
 
 
-def count_opcodes(engine, config) -> int:
-    """Opcodes executed while building and running one simulation."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "opcode":
-            count += 1
-        return local
+def count_opcodes(engine, config) -> Counter:
+    """Opcodes executed while building and running one simulation, by code
+    object."""
+    cells: dict = {}
 
     def on_call(frame, event, arg):
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
+        # one counter per code object, looked up once per call: hashing the
+        # code object on every opcode makes the count about five times slower
+        cell = cells.setdefault(frame.f_code, [0])
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                cell[0] += 1
+            return local
         return local
 
     sys.settrace(on_call)
@@ -49,7 +55,17 @@ def count_opcodes(engine, config) -> int:
         engine.HighwaySimulation(config).run()
     finally:
         sys.settrace(None)
-    return count
+    return Counter({code: cell[0] for code, cell in cells.items()})
+
+
+def by_function(counts: Counter) -> Counter:
+    """The counts keyed by ``file:function``, merging code objects that
+    share a name."""
+    merged = Counter()
+    for code, count in counts.items():
+        function = getattr(code, "co_qualname", code.co_name)  # 3.11 adds the class
+        merged[f"{Path(code.co_filename).name}:{function}"] += count
+    return merged
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,6 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=here,
                         help="checkout whose src/ and scenarios/ to use")
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="also print the N functions that executed the most opcodes")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -65,7 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, ini, seconds in WORKLOADS:
         config = scenario.load_scenario(str(root / "scenarios" / ini))
         config = scenario.apply_override(config, "duration_s", str(seconds))
-        print(f"{name} {count_opcodes(engine, config):,}", flush=True)
+        counts = count_opcodes(engine, config)
+        total = counts.total()
+        print(f"{name} {total:,}", flush=True)
+        for function, count in by_function(counts).most_common(args.top):
+            print(f"  {count / total:6.1%} {count:,} {function}", flush=True)
     return 0
 
 
