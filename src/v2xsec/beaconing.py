@@ -62,6 +62,7 @@ TYPE_TAG_LEN = 2
 
 BEACON_BODY_LEN = 40
 _BEACON_FMT = ">ddffQ8s"
+MAX_VELOCITY = 3.4028234663852886e38  # the largest finite 4-byte float
 
 # secured beacon offsets: tag, pseudonym id, body, timestamp, signature, certificate flag
 _SECURED_TAG = SECURED_BEACON_TYPE.to_bytes(TYPE_TAG_LEN, "big")

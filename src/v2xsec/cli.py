@@ -23,6 +23,12 @@ from .sim.sweep import GridSpec, run_sweep
 from .suites import get_suite
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v2xsec",
@@ -53,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     val_p.add_argument("--scenario", required=True, help="scenario INI file")
 
     self_p = sub.add_parser("selftest", help="run built-in security suites")
-    self_p.add_argument("--hsm-sequences", type=int, default=10_000)
-    self_p.add_argument("--gateway-events", type=int, default=10_000)
+    self_p.add_argument("--hsm-sequences", type=_count, default=10_000)
+    self_p.add_argument("--gateway-events", type=_count, default=10_000)
     self_p.add_argument("--seed", type=int, default=0x5EC0)
     self_p.add_argument("--crypto", default="p224", choices=CRYPTO_SUITES)
     return parser

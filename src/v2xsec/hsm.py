@@ -2,10 +2,12 @@
 
 The module exposes a deliberately small surface: generate keys, sign with a
 trusted timestamp, decrypt, rotate the root verification key, revoke, and
-read the trusted clock. Per key it keeps only the private handle and whether
-the key is revoked; private key material never crosses the API boundary.
+read the trusted clock. It makes one kind of key, usable to sign and to
+decrypt, and keeps per key only the private handle and whether the key is
+revoked; private key material never crosses the API boundary.
 
-Root keys follow a chain-of-custody rule: the very first root is installed
+The root verification key is never made here: only its public half enters,
+and it follows a chain-of-custody rule. The very first root is installed
 unauthenticated at provisioning time, and every later root must arrive in an
 update package signed by the root it replaces.
 
@@ -29,7 +31,6 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from enum import Enum
 from random import Random
 
 from .clocks import VirtualClock
@@ -57,22 +58,12 @@ class RevokedKeyError(HsmError):
     pass
 
 
-class KeyRoleError(HsmError):
-    """Operation not permitted for the key's role."""
-
-
 class RootStateError(HsmError):
     """Root slot used before provisioning, or provisioned twice."""
 
 
 class IntegrityError(HsmError):
     """Ciphertext failed authentication or is structurally malformed."""
-
-
-class KeyRole(Enum):
-    ROOT_VERIFICATION = "root_verification"
-    LONG_TERM = "long_term"
-    SHORT_TERM = "short_term"
 
 
 @dataclass(frozen=True)
@@ -166,10 +157,8 @@ class Hsm:
 
     # -- keys ------------------------------------------------------------------
 
-    def generate_key(self, role: KeyRole) -> tuple[str, bytes]:
+    def generate_key(self) -> tuple[str, bytes]:
         """Create a key pair inside the module; returns (key_id, public_key)."""
-        if role is KeyRole.ROOT_VERIFICATION:
-            raise KeyRoleError("root keys enter only through install_root_key")
         with self._lock:
             handle, public = self._suite.generate_keypair(self._rng)
             key_id = f"key-{self._next_id:06d}"

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 
-from .hsm import Hsm, KeyRole
+from .hsm import Hsm
 from .suites import (
     POINT_LEN,
     SIG_FIELD_LEN,
@@ -197,7 +197,7 @@ class IdentityManager:
         now = self.hsm.read_clock()
         fresh: list[Pseudonym] = []
         for _ in range(count):
-            key_id, public = self.hsm.generate_key(KeyRole.SHORT_TERM)
+            key_id, public = self.hsm.generate_key()
             cert = ca.issue(public, now, now + validity_ms)
             fresh.append(Pseudonym(key_id=key_id, certificate=cert))
         self._spares.extend(fresh)

@@ -31,8 +31,6 @@ from .gateway import (
 from .hsm import (
     TIMESTAMP_LEN,
     Hsm,
-    HsmError,
-    KeyRole,
     RevokedKeyError,
     RootUpdatePackage,
     UnknownKeyError,
@@ -99,18 +97,9 @@ class _HsmHarness:
 
 
 def _op_generate(h: _HsmHarness) -> None:
-    role = h.rng.choice((KeyRole.SHORT_TERM, KeyRole.LONG_TERM))
-    key_id, public = h.hsm.generate_key(role)
+    key_id, public = h.hsm.generate_key()
     h.note(public)
     h.live_keys.append((key_id, public))
-
-
-def _op_generate_root_refused(h: _HsmHarness) -> None:
-    try:
-        h.hsm.generate_key(KeyRole.ROOT_VERIFICATION)
-        h.fail("generate_key accepted the root role")
-    except HsmError:
-        pass
 
 
 def _op_sign(h: _HsmHarness) -> None:
@@ -218,7 +207,6 @@ def _op_ecies(h: _HsmHarness) -> None:
 
 _OPS = (
     (_op_generate, 4),
-    (_op_generate_root_refused, 1),
     (_op_sign, 6),
     (_op_sign_unknown, 1),
     (_op_revoke, 1),

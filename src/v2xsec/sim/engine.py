@@ -394,7 +394,8 @@ class HighwaySimulation:
         """Each live vehicle's live neighbours in radio range, in id order."""
         x = self.x
         crashed = self.crashed
-        range_sq = self.config.tx_range_m**2
+        r = self.config.tx_range_m
+        range_sq = r * r  # inf past about 1.3e154, where r**2 overflows
         in_range: list[list[int]] = [[] for _ in range(self.n)]
         for i, xi in enumerate(x):
             if crashed[i]:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
-from ..beaconing import OmissionVariant
+from ..beaconing import MAX_VELOCITY, OmissionVariant
 
 SECURITY_MODES = ("novc", "unsecured", "secured")
 STRATEGIES = tuple(variant.value for variant in OmissionVariant)
@@ -126,6 +126,8 @@ class ScenarioConfig:
         need(self.vehicle_count >= 1, "vehicle_count must be >= 1")
         need(self.initial_headway_m > 0, "initial_headway_m must be positive")
         need(self.initial_speed_mps >= 0, "initial_speed_mps must be nonnegative")
+        need(self.initial_speed_mps <= MAX_VELOCITY, f"initial_speed_mps exceeds "
+             f"{MAX_VELOCITY!r}, the largest a beacon's 4-byte velocity holds")
         need(self.beacon_interval_ms >= 10, "beacon_interval_ms must be >= 10")
         need(self.duration_s > 0, "duration_s must be positive")
         need(0 <= self.warmup_s < self.duration_s, "warmup_s must lie inside the run")

@@ -85,8 +85,6 @@ class P224Suite:
     ``cryptography``.
     """
 
-    name = "p224"
-
     def generate_keypair(self, rng: Random | None = None) -> tuple[object, bytes]:
         """Return an opaque private handle and the 57-byte public point.
 
@@ -179,7 +177,6 @@ class FastHashSuite:
     ``VerdictMemo``.
     """
 
-    name = "fast"
     _SIG_BODY = 32
     _SIG_LEN = 2 + _SIG_BODY
     _SIG_HEADER = bytes([0x30, _SIG_BODY])
@@ -252,7 +249,6 @@ class VerdictMemo:
     """
 
     def __init__(self, suite: SignatureSuite) -> None:
-        self.name = suite.name
         self.sign = suite.sign
         self.generate_keypair = suite.generate_keypair
         self.ecdh_sender = suite.ecdh_sender

@@ -34,7 +34,7 @@ from v2xsec.hooks import (
     IlpPosition,
     Message,
 )
-from v2xsec.hsm import Hsm, IntegrityError, KeyRole, encrypt_for
+from v2xsec.hsm import Hsm, IntegrityError, encrypt_for
 from v2xsec.clocks import VirtualClock
 from v2xsec.selftest import run_gateway_suite, run_hsm_security_suite
 from v2xsec.sim.engine import run_scenario
@@ -214,7 +214,7 @@ def test_criterion_6_real_curve_crypto_rejects_mutation():
         if not suite.verify(public, message, bytes(mutated)):
             mutations_rejected += 1
 
-    key_id, public = hsm.generate_key(KeyRole.SHORT_TERM)
+    key_id, public = hsm.generate_key()
     ecies_ok = 0
     for _ in range(1000):
         plaintext = rng.randbytes(rng.randint(0, 96))

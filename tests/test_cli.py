@@ -99,6 +99,26 @@ def test_run_rejects_a_budget_below_one_first_contact(capsys):
     assert "budget_per_second must be >= 2" in captured.err
 
 
+def test_run_with_a_range_whose_square_overflows_puts_everyone_in_range(capsys):
+    """A range past about 1.3e154 m squares to inf rather than raising, so
+    the run completes and each vehicle hears the other."""
+    assert main(["run", "--scenario", SMOKE, "--set", "vehicle_count=2",
+                 "--set", "tx_range_m=1e300", "--set", "duration_s=3"]) == 0
+    assert "delivered to app:      0" not in capsys.readouterr().out
+
+
+def test_run_rejects_a_speed_a_beacon_cannot_carry(capsys):
+    """Velocity is a 4-byte float on the wire: a secured run at its largest
+    finite value completes, and one above it is refused before it starts."""
+    fastest = ["--set", "initial_speed_mps=3.4028234663852886e38", "--set", "duration_s=3"]
+    assert main(["run", "--scenario", SMOKE, *fastest]) == 0
+    capsys.readouterr()
+    assert main(["run", "--scenario", SMOKE, "--set", "initial_speed_mps=1e39"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "initial_speed_mps exceeds" in captured.err
+
+
 def test_run_missing_scenario_exits_2(capsys):
     assert main(["run", "--scenario", "/nonexistent.ini"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -151,3 +171,15 @@ def test_selftest_subcommand(capsys):
     assert "selftest: PASS" in printed
     assert "hsm security suite" in printed
     assert "gateway suite" in printed
+
+
+@pytest.mark.parametrize("counts", [("0", "10"), ("10", "-3"), ("ten", "10")])
+def test_selftest_rejects_counts_below_one(counts, capsys):
+    """No sequences or events would test nothing: a usage error, not a
+    failed HSM or a passing gateway."""
+    sequences, events = counts
+    with pytest.raises(SystemExit) as exit_info:
+        main(["selftest", "--hsm-sequences", sequences, "--gateway-events", events,
+              "--crypto", "fast"])
+    assert exit_info.value.code == 2
+    assert "must be a whole number of at least 1" in capsys.readouterr().err

@@ -16,8 +16,6 @@ from v2xsec.hsm import (
     TIMESTAMP_LEN,
     Hsm,
     IntegrityError,
-    KeyRole,
-    KeyRoleError,
     RevokedKeyError,
     RootStateError,
     RootUpdatePackage,
@@ -112,14 +110,9 @@ def test_root_rotation_rejects_mangled_package(fast_suite):
 # -- keys ---------------------------------------------------------------------------
 
 
-def test_generate_key_refuses_root_role(hsm):
-    with pytest.raises(KeyRoleError):
-        hsm.generate_key(KeyRole.ROOT_VERIFICATION)
-
-
 def test_generated_key_ids_and_public_keys_are_distinct(hsm):
-    kid_a, pub_a = hsm.generate_key(KeyRole.SHORT_TERM)
-    kid_b, pub_b = hsm.generate_key(KeyRole.LONG_TERM)
+    kid_a, pub_a = hsm.generate_key()
+    kid_b, pub_b = hsm.generate_key()
     assert kid_a != kid_b
     assert pub_a != pub_b
 
@@ -133,7 +126,7 @@ def test_unknown_key_operations(hsm):
 
 
 def test_revocation_blocks_signing_and_decryption(hsm, fast_suite):
-    kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
+    kid, pub = hsm.generate_key()
     ct = encrypt_for(pub, b"sealed before revocation", suite=fast_suite, rng=Random(47))
     hsm.revoke_key(kid)
     hsm.revoke_key(kid)  # idempotent
@@ -147,7 +140,7 @@ def test_revocation_blocks_signing_and_decryption(hsm, fast_suite):
 
 
 def test_sign_and_timestamp_covers_message_and_time(hsm, clock, fast_suite):
-    kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
+    kid, pub = hsm.generate_key()
     clock.set(123_456)
     signed, signature = hsm.sign_and_timestamp(kid, b"beacon body")
     # the signed bytes are message || big-endian timestamp, and the signature
@@ -163,7 +156,7 @@ def test_verifiers_require_a_suite(hsm, ca, fast_suite):
     """Nothing guesses a suite or a clock: a default suite would reject every
     genuine ``fast`` certificate as bad, or make ``p224`` keys in a ``fast``
     run."""
-    kid, pub = hsm.generate_key(KeyRole.SHORT_TERM)
+    kid, pub = hsm.generate_key()
     cert = ca.issue(pub, 0, 1000)
     assert verify_certificate(cert, ca.public_key, 0, fast_suite)
     with pytest.raises(TypeError):
@@ -196,7 +189,7 @@ def test_concurrent_callers_see_one_linear_history(fast_suite):
     def worker(out):
         start.wait(timeout=30)
         for k in range(rounds):
-            key_id, public = hsm.generate_key(KeyRole.SHORT_TERM)
+            key_id, public = hsm.generate_key()
             message = f"{key_id}:{k}".encode()
             out.append((key_id, public, message, hsm.sign_and_timestamp(key_id, message),
                         hsm.read_clock()))
@@ -236,7 +229,7 @@ def test_concurrent_callers_see_one_linear_history(fast_suite):
 
 @pytest.mark.parametrize("size", [0, 1, 15, 16, 17, 100, 1000])
 def test_ecies_roundtrip_and_length(hsm, fast_suite, size):
-    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    kid, pub = hsm.generate_key()
     plaintext = bytes(range(256)) * (size // 256 + 1)
     plaintext = plaintext[:size]
     ct = encrypt_for(pub, plaintext, suite=fast_suite, rng=Random(51))
@@ -250,7 +243,7 @@ def test_ecies_overhead_constant():
 
 
 def test_ecies_rejects_any_mutation(hsm, fast_suite):
-    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    kid, pub = hsm.generate_key()
     ct = encrypt_for(pub, b"secret payload", suite=fast_suite, rng=Random(53))
     for pos in range(len(ct)):
         mutated = bytearray(ct)
@@ -260,15 +253,15 @@ def test_ecies_rejects_any_mutation(hsm, fast_suite):
 
 
 def test_ecies_wrong_recipient(hsm, fast_suite):
-    kid_a, _ = hsm.generate_key(KeyRole.LONG_TERM)
-    _, pub_b = hsm.generate_key(KeyRole.LONG_TERM)
+    kid_a, _ = hsm.generate_key()
+    _, pub_b = hsm.generate_key()
     ct = encrypt_for(pub_b, b"addressed elsewhere", suite=fast_suite, rng=Random(59))
     with pytest.raises(IntegrityError):
         hsm.decrypt(kid_a, ct)
 
 
 def test_ecies_truncation(hsm, fast_suite):
-    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    kid, pub = hsm.generate_key()
     ct = encrypt_for(pub, b"x" * 32, suite=fast_suite, rng=Random(61))
     with pytest.raises(IntegrityError):
         hsm.decrypt(kid, ct[: ECIES_OVERHEAD - 1])
@@ -278,7 +271,7 @@ def test_ecies_with_real_curve(p224_suite):
     clock = VirtualClock(0)
     hsm = Hsm(clock=clock, suite=p224_suite)
     hsm.install_factory_root(p224_suite.generate_keypair()[1])
-    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    kid, pub = hsm.generate_key()
     ct = encrypt_for(pub, b"over the real curve", suite=p224_suite)
     assert hsm.decrypt(kid, ct) == b"over the real curve"
 
@@ -286,7 +279,7 @@ def test_ecies_with_real_curve(p224_suite):
 def test_encrypt_for_requires_a_suite(hsm, fast_suite):
     """Sealing guesses no suite: a default one would fail on every genuine
     ``fast`` key."""
-    kid, pub = hsm.generate_key(KeyRole.LONG_TERM)
+    kid, pub = hsm.generate_key()
     assert hsm.decrypt(kid, encrypt_for(pub, b"m", fast_suite, Random(67))) == b"m"
     with pytest.raises(TypeError):
         encrypt_for(pub, b"m")
