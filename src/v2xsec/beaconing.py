@@ -39,6 +39,7 @@ optional 142-byte certificate [119]. The signature covers [6:54].
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -120,6 +121,9 @@ class Beacon:
         if len(data) != BEACON_BODY_LEN:
             raise MalformedBeaconError(f"beacon body must be {BEACON_BODY_LEN}B")
         x, y, vel, heading, gen, payload = struct.unpack(_BEACON_FMT, data)
+        # NaN compares False with everything, so no position check could hold for it
+        if not all(map(math.isfinite, (x, y, vel, heading))):
+            raise MalformedBeaconError("position, velocity and heading must be finite")
         return cls(x=x, y=y, velocity=vel, heading=heading,
                    generation_time=gen, payload=payload)
 

@@ -18,9 +18,9 @@ import sys
 
 from .sim.engine import run_scenario
 from .sim.metrics import CSV_COLUMNS, RunMetrics, write_csv
-from .sim.scenario import CRYPTO_SUITES, ScenarioError, apply_override, load_scenario
+from .sim.scenario import ScenarioError, apply_override, load_scenario
 from .sim.sweep import GridSpec, run_sweep
-from .suites import get_suite
+from .suites import SUITE_NAMES, get_suite
 
 
 def _count(text: str) -> int:
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     self_p.add_argument("--hsm-sequences", type=_count, default=10_000)
     self_p.add_argument("--gateway-events", type=_count, default=10_000)
     self_p.add_argument("--seed", type=int, default=0x5EC0)
-    self_p.add_argument("--crypto", default="p224", choices=CRYPTO_SUITES)
+    self_p.add_argument("--crypto", default="p224", choices=SUITE_NAMES)
     return parser
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from collections import deque
 from heapq import heappop, heappush
 from random import Random
 
@@ -99,7 +98,6 @@ class HighwaySimulation:
         config.validate()
         self.config = config
         self.clock = VirtualClock(0)
-        self.now = 0
         # Config values read on every event, derived once.
         self.duration_ms = config.duration_ms
         self.warmup_ms = config.warmup_ms
@@ -133,13 +131,9 @@ class HighwaySimulation:
         self.in_range: list[list[int]] = [[] for _ in range(n)]
         self.total_tx_bytes = 0
         self._radio_stale = True
-        self._was_moving = True
 
-        # Event queue. Deliveries all lag their emission by the same delay, so
-        # they arrive in time order and wait in a FIFO beside the heap; the
-        # run loop merges the two by the same (time, kind, vid, seq) key.
+        # One event queue, ordered by (time, kind, vid, insertion sequence).
         self._heap: list[tuple[int, int, int, int, object]] = []
-        self._deliveries: deque[tuple[int, int, int, int, object]] = deque()
         self._seq = itertools.count()
 
         self.nodes: list[_Node] = []
@@ -181,7 +175,6 @@ class HighwaySimulation:
             self.nodes.append(_Node(bsec))
             identity.activate_next(0)
         self._security_layers = [n.bsec for n in self.nodes]
-        self._rx = [bsec.on_receive for bsec in self._security_layers]
 
     def _make_deliver(self, vid: int):
         """Vehicle ``vid``'s application callback; None without one."""
@@ -195,10 +188,10 @@ class HighwaySimulation:
         return deliver
 
     def _schedule_initial_events(self) -> None:
-        # Periodic events each schedule their successor, which keeps the heap
-        # at about one entry per vehicle. The run stops at the end event, so
-        # nothing after ``duration_ms`` is handled; emissions stop strictly
-        # before it.
+        # Periodic events each schedule their successor, so the heap holds
+        # about one entry per vehicle plus the deliveries in flight. The run
+        # stops at the end event, so nothing after ``duration_ms`` is handled;
+        # emissions stop strictly before it.
         config = self.config
         duration = self.duration_ms
         self._push(duration, _K_END, -1, None)
@@ -222,15 +215,11 @@ class HighwaySimulation:
 
     def run(self) -> RunMetrics:
         heap = self._heap
-        deliveries = self._deliveries
         while True:
-            if deliveries and deliveries[0] < heap[0]:
-                self.now, _, _, _, payload = deliveries.popleft()
-                self._handle_delivery(payload)
-                continue
             time_ms, kind, vid, _, payload = heappop(heap)
-            self.now = time_ms
-            if kind == _K_EMIT:
+            if kind == _K_DELIVER:
+                self._handle_delivery(payload, time_ms)
+            elif kind == _K_EMIT:
                 self._handle_emit(vid, time_ms)
             elif kind == _K_VERIFY:
                 self._handle_verify(time_ms)
@@ -256,17 +245,16 @@ class HighwaySimulation:
             self._sample_queues()
         # Relative geometry only changes while someone accelerates or moves at
         # a different speed; a steady platoon keeps its radio ranges, so skip
-        # the O(n^2) rebuild then. One extra rebuild runs after motion ends
-        # (or after a crash) to capture the final positions.
+        # the O(n^2) rebuild then. The flag asks for one more rebuild after
+        # motion ends (or after a crash) to capture the final positions.
         v = self.v
         v0 = v[0]
         moving = any(vi != v0 for vi in v) or (
             any(self.a) and any(vi > 0 for vi in v)
         )
-        if moving or self._was_moving or self._radio_stale:
+        if moving or self._radio_stale:
             self._rebuild_radio()
-            self._radio_stale = False
-        self._was_moving = moving
+        self._radio_stale = moving
 
     def _handle_emit(self, vid: int, now: int) -> None:
         if self.crashed[vid]:
@@ -304,22 +292,20 @@ class HighwaySimulation:
             metrics.trace.append(EmissionRecord(now, vid, with_cert, frame_len))
         receivers = self.in_range[vid]
         if receivers:
-            self._deliveries.append((now + config.propagation_delay_ms, _K_DELIVER, vid,
-                                     next(self._seq), (sent, receivers)))
+            heappush(self._heap, (now + config.propagation_delay_ms, _K_DELIVER, vid,
+                                  next(self._seq), (sent, receivers)))
         next_t = now + config.beacon_interval_ms
         if next_t < self.duration_ms:
             self._push(next_t, _K_EMIT, vid, None)
 
-    def _handle_delivery(self, payload: object) -> None:
+    def _handle_delivery(self, payload: object, now: int) -> None:
         # the decoded beacon as sent: a SecuredBeacon if secured, else a Beacon
         sent, receivers = payload  # type: ignore[misc]
-        now = self.now
         crashed = self.crashed
         loss_p = self.loss_p
         rng_random = self.channel_rng.random
         secured = self.secured
-        if secured:
-            rx = self._rx
+        layers = self._security_layers
         app = self._app
         # One channel draw per live receiver, in receiver order. A secured
         # receiver's security layer delivers to the application only once the
@@ -332,7 +318,7 @@ class HighwaySimulation:
             elif rng_random() < loss_p[r]:
                 losses += 1
             elif secured:
-                rx[r](sent, now)
+                layers[r].on_receive(sent, now)
             elif app is not None:
                 app(r, sent, now)
         heard = len(receivers) - silent - losses

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 from ..beaconing import MAX_VELOCITY, OmissionVariant
+from ..suites import SUITE_NAMES
 
 SECURITY_MODES = ("novc", "unsecured", "secured")
 STRATEGIES = tuple(variant.value for variant in OmissionVariant)
-CRYPTO_SUITES = ("fast", "p224")
 
 # Every time stays below 2**53 ms, so seconds convert to whole ms exactly, and
 # a time plus a span fits the 8-byte time fields of beacons and certificates.
@@ -129,12 +129,14 @@ class ScenarioConfig:
         need(self.initial_speed_mps <= MAX_VELOCITY, f"initial_speed_mps exceeds "
              f"{MAX_VELOCITY!r}, the largest a beacon's 4-byte velocity holds")
         need(self.beacon_interval_ms >= 10, "beacon_interval_ms must be >= 10")
-        need(self.duration_s > 0, "duration_s must be positive")
-        need(0 <= self.warmup_s < self.duration_s, "warmup_s must lie inside the run")
+        # the engine runs in whole ms, so these must hold for the rounded times
+        need(self.duration_ms >= 1, "duration_s must round to at least 1 ms")
+        need(0 <= self.warmup_s and self.warmup_ms < self.duration_ms,
+             "warmup_s must lie inside the run, once both are rounded to ms")
         need(self.security_mode in SECURITY_MODES,
              f"security_mode must be one of {SECURITY_MODES}")
         need(self.strategy in STRATEGIES, f"strategy must be one of {STRATEGIES}")
-        need(self.crypto in CRYPTO_SUITES, f"crypto must be one of {CRYPTO_SUITES}")
+        need(self.crypto in SUITE_NAMES, f"crypto must be one of {SUITE_NAMES}")
         need(self.tx_range_m > 0, "tx_range_m must be positive")
         need(self.mobility_tick_ms >= 1, "mobility_tick_ms must be >= 1")
         need(1000 % self.mobility_tick_ms == 0, "mobility_tick_ms must divide 1000")
@@ -151,7 +153,8 @@ class ScenarioConfig:
         need(self.queue_capacity >= 1, "queue_capacity must be >= 1")
         need(self.pending_capacity >= 1, "pending_capacity must be >= 1")
         need(self.pool_size >= 1, "pool_size must be >= 1")
-        need(self.cert_validity_s > 0, "cert_validity_s must be positive")
+        need(round(self.cert_validity_s * 1000) >= 1,
+             "cert_validity_s must round to at least 1 ms")
         need(0 <= self.min_lifetime_s <= self.max_lifetime_s,
              "pseudonym lifetimes must satisfy 0 <= min <= max")
         need(self.max_beacons >= 1, "max_beacons must be >= 1")

@@ -2,13 +2,14 @@
 
 Grid axes are given as ``key=value1,value2,...`` and expand in declaration
 order (first axis outermost). Each axis names one scenario field, by its bare
-or ``section.key`` name as an override does, and no two axes may name the
-same field. Each grid point gets a deterministic seed, ``base_seed XOR
-index``, unless the grid itself sweeps the seed. Every grid point is
-validated whole, once all its values are set, before any run starts. Runs
-are independent, so they can fan out across worker processes, at most one
-per run; results always come back in grid order regardless of completion
-order.
+or ``section.key`` name as an override does. No two axes may name the same
+field, and none may set the name: grid point ``index`` is named
+``<base name>#<index>``. Each grid point gets a deterministic seed,
+``base_seed XOR index``, unless the grid itself sweeps the seed. Every grid
+point is validated whole, once all its values are set, before any run
+starts. Runs are independent, so they can fan out across worker processes,
+at most one per run; results always come back in grid order regardless of
+completion order.
 Only a parallel sweep imports the process pool.
 """
 
@@ -39,6 +40,9 @@ class GridSpec:
             if not parsed:
                 raise ScenarioError(f"grid axis {key!r} has no values")
             field, _ = parameter(key)
+            if field == "name":
+                raise ScenarioError(f"grid axis {key!r} cannot set the name: each grid "
+                                    "point is named <base name>#<index>")
             if field in named:
                 raise ScenarioError(
                     f"grid sweeps {field} twice (as {named[field]!r} and {key!r})")

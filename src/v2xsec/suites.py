@@ -270,10 +270,11 @@ class VerdictMemo:
 SignatureSuite = P224Suite | FastHashSuite | VerdictMemo
 
 _SUITES: dict[str, SignatureSuite] = {"p224": P224Suite(), "fast": FastHashSuite()}
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def get_suite(name: str) -> SignatureSuite:
     try:
         return _SUITES[name]
     except KeyError:
-        raise SuiteError(f"unknown crypto suite {name!r} (choose from {sorted(_SUITES)})") from None
+        raise SuiteError(f"unknown crypto suite {name!r} (choose from {SUITE_NAMES})") from None

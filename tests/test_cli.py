@@ -119,6 +119,29 @@ def test_run_rejects_a_speed_a_beacon_cannot_carry(capsys):
     assert "initial_speed_mps exceeds" in captured.err
 
 
+@pytest.mark.parametrize("refused, shortest, needle", [
+    (["duration_s=0.0004", "warmup_s=0"], ["duration_s=0.001", "warmup_s=0"],
+     "duration_s must round to at least 1 ms"),
+    (["duration_s=0.0014", "warmup_s=0.0011"], ["duration_s=0.0014", "warmup_s=0.0004"],
+     "warmup_s must lie inside the run"),
+    (["cert_validity_s=0.0004"], ["cert_validity_s=0.001"],
+     "cert_validity_s must round to at least 1 ms"),
+], ids=["duration", "warmup", "cert-validity"])
+def test_run_rejects_times_that_round_to_nothing(refused, shortest, needle, capsys):
+    """The engine counts whole ms: a run, a post-warm-up window or a
+    certificate lifetime that rounds to 0 ms is refused before it starts,
+    and the shortest that rounds to 1 ms runs."""
+    def run(overrides):
+        return main(["run", "--scenario", SMOKE,
+                     *[arg for override in overrides for arg in ("--set", override)]])
+
+    assert run(refused) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+    assert run(shortest) == 0
+
+
 def test_run_missing_scenario_exits_2(capsys):
     assert main(["run", "--scenario", "/nonexistent.ini"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -152,6 +175,16 @@ def test_sweep_subcommand(scenario_file, tmp_path, capsys):
 def test_sweep_without_grid_exits_2(scenario_file, capsys):
     assert main(["sweep", "--scenario", scenario_file]) == 2
     assert "grid axis" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis", ["name=alpha,beta", "scenario.name=alpha"])
+def test_sweep_rejects_a_grid_axis_that_sets_the_name(axis, capsys):
+    """Each grid point is named ``<base name>#<index>``, which would
+    overwrite a swept name, so such an axis is refused."""
+    assert main(["sweep", "--scenario", SMOKE, "--grid", axis]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot set the name" in captured.err
 
 
 def test_validate_subcommand(scenario_file, tmp_path, capsys):

@@ -420,6 +420,39 @@ def test_crashed_vehicles_stop_emitting():
     assert metrics.final_speeds == [0.0, 0.0]
 
 
+_ZERO_DELAY_RESULTS = {
+    "unsecured": (
+        ["braking", "3", "unsecured", "neighbor_triggered", "10", "3", "100", "10",
+         "0.000000", "4800.000", "", "0"],
+        [956.2500000000014, 916.2500000000014, 876.2500000000014, 836.2500000000014,
+         796.2500000000014, 756.2500000000014, 716.2500000000014, 676.2500000000014,
+         636.2500000000014, 596.2500000000014],
+    ),
+    "secured": (
+        ["braking", "3", "secured", "neighbor_triggered", "10", "3", "100", "10",
+         "0.000000", "12571.000", "0.000", "0"],
+        [956.2500000000014, 918.9500000000011, 878.6500000000013, 838.9500000000011,
+         799.2500000000013, 758.9500000000011, 718.6500000000013, 678.6500000000013,
+         638.3500000000013, 598.6500000000013],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_ZERO_DELAY_RESULTS))
+def test_zero_delay_braking_matches_recorded_run(mode):
+    """With no propagation or reaction delay, deliveries share their
+    millisecond with emissions, ticks and brake onsets, so the order of
+    same-time events decides when each follower brakes and where it stops.
+    The values were recorded from a run of the same configuration."""
+    config = _repository_scenario("braking.ini", security_mode=mode,
+                                  propagation_delay_ms="0", reaction_delay_ms="0")
+    metrics = run_scenario(config)
+    row, positions = _ZERO_DELAY_RESULTS[mode]
+    assert metrics.csv_row() == row
+    assert metrics.crash_events == []
+    assert metrics.final_positions == positions
+
+
 # -- scenario files --------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ which must turn any file into a validated configuration or its own error.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from random import Random
 
@@ -109,6 +110,26 @@ def test_receive_wire_takes_any_bytes_like_input(wrap):
     receiver.receive_wire(wrap(wire), 0)
     assert delivered == [_SB]
     assert receiver.beacons_received == receiver.delivered_count == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["x", "y", "velocity", "heading"])
+def test_receive_wire_discards_a_signed_beacon_with_a_non_finite_field(name, value):
+    """A NaN or infinite position, velocity or heading is malformed even
+    under a valid signature: NaN fails every comparison the application
+    makes, so a NaN position would pass for a vehicle ahead."""
+    fields = dict(x=1.5, y=0.0, velocity=30.0, heading=0.0, generation_time=0)
+    fields[name] = value
+    wire = _station(5).make_beacon(Beacon(**fields), 0).to_wire()
+    with pytest.raises(MalformedBeaconError, match="must be finite"):
+        SecuredBeacon.from_wire(wire)
+    delivered = []
+    receiver = _station(7, deliver=lambda sb, now: delivered.append(sb))
+    receiver.receive_wire(wire, 0)
+    assert delivered == []
+    assert receiver.beacons_received == 1
+    assert list(receiver.discards) == [
+        "malformed: position, velocity and heading must be finite"]
 
 
 # -- the scenario loader -----------------------------------------------------------
