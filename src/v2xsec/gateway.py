@@ -42,6 +42,14 @@ class FirewallRule:
     origin: RuleOrigin = RuleOrigin.STATIC
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.app_id, str) and isinstance(self.resource_id, str)):
+            raise GatewayError(f"ids must be str, got {self.app_id!r}, {self.resource_id!r}")
+        if not isinstance(self.priority, int) or isinstance(self.priority, bool):
+            raise GatewayError(f"priority must be an int, got {self.priority!r}")
+        if not isinstance(self.action, Action):
+            raise GatewayError(f"action must be an Action, got {self.action!r}")
+        if not isinstance(self.origin, RuleOrigin):
+            raise GatewayError(f"origin must be a RuleOrigin, got {self.origin!r}")
         if self.priority < 0:
             raise GatewayError("priority must be nonnegative")
         if self.origin is RuleOrigin.STATIC and self.priority < 1:
@@ -49,17 +57,13 @@ class FirewallRule:
         if self.origin is RuleOrigin.IDS and self.priority != IDS_PRIORITY:
             raise GatewayError("IDS rules live at the reserved priority band")
 
-    def matches(self, app_id: str, resource_id: str) -> bool:
-        return (self.app_id == "*" or self.app_id == app_id) and (
-            self.resource_id == "*" or self.resource_id == resource_id
-        )
-
 
 class Firewall:
     """Ordered rule table with deny-by-default semantics."""
 
     def __init__(self) -> None:
         self._rules: list[FirewallRule] = []  # by priority, then insertion order
+        self._members: set[FirewallRule] = set()  # the rules of _rules
 
     @property
     def rules(self) -> list[FirewallRule]:
@@ -67,14 +71,16 @@ class Firewall:
 
     def add_rule(self, rule: FirewallRule) -> bool:
         """Insert a rule; re-adding an identical rule is a no-op (False)."""
-        if rule in self._rules:
+        if rule in self._members:
             return False
+        self._members.add(rule)
         bisect.insort(self._rules, rule, key=lambda r: r.priority)
         return True
 
     def remove_rule(self, rule: FirewallRule) -> bool:
-        if rule not in self._rules:
+        if rule not in self._members:
             return False
+        self._members.remove(rule)
         self._rules.remove(rule)
         return True
 
@@ -87,7 +93,8 @@ class Firewall:
     def check_access(self, app_id: str, resource_id: str) -> Action:
         """First matching rule in priority order decides; default is deny."""
         for rule in self._rules:
-            if rule.matches(app_id, resource_id):
+            if (rule.app_id == app_id or rule.app_id == "*") and (
+                    rule.resource_id == resource_id or rule.resource_id == "*"):
                 return rule.action
         return Action.DENY
 
@@ -97,14 +104,15 @@ class Firewall:
 
 @dataclass(frozen=True)
 class RangeSpec:
-    """Closed numeric interval a signal must stay inside."""
+    """Closed numeric interval a signal must stay inside; a bound may be
+    infinite, which leaves that side open."""
 
     low: float
     high: float
 
     def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise GatewayError("range low must not exceed high")
+        if not self.low <= self.high:  # also false when either bound is NaN
+            raise GatewayError(f"range needs low <= high, no NaN: [{self.low}, {self.high}]")
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,7 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
 
     firewall = Firewall()
     insertion_order: list[FirewallRule] = []
+    in_table: set[FirewallRule] = set()  # the rules of insertion_order
     spec = _random_behavior_spec(rng)
     detector = IntrusionDetector(spec)
     shadow_state: dict[str, str] = {}
@@ -309,6 +310,7 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
         if step % 250 == 0:
             firewall = Firewall()
             insertion_order = []
+            in_table = set()
             spec = _random_behavior_spec(rng)
             detector = IntrusionDetector(spec)
             shadow_state = {}
@@ -320,7 +322,7 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
                     priority=rng.randint(1, 20),
                 )
                 if firewall.add_rule(rule):
-                    insertion_order.append(rule)
+                    _with_rule(insertion_order, in_table, rule)
         roll = rng.random()
         if roll < 0.5:
             app = rng.choice(apps[:-1])
@@ -339,11 +341,11 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
                 ids_false_alarms += 1
             if anomaly is not None:
                 injected = detector.react(anomaly, firewall)
-                insertion_order = _with_rule(insertion_order, injected)
+                _with_rule(insertion_order, in_table, injected)
                 # give the offender a top static allow and verify the IDS rule wins
                 contender = FirewallRule(event.source_app, event.signal, Action.ALLOW, 1)
                 if firewall.add_rule(contender):
-                    insertion_order = _with_rule(insertion_order, contender)
+                    _with_rule(insertion_order, in_table, contender)
                 if firewall.check_access(event.source_app, event.signal) != Action.DENY:
                     dominance_failures += 1
 
@@ -356,10 +358,11 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
     return report
 
 
-def _with_rule(order: list[FirewallRule], rule: FirewallRule) -> list[FirewallRule]:
-    if rule not in order:
+def _with_rule(order: list[FirewallRule], in_order: set[FirewallRule],
+               rule: FirewallRule) -> None:
+    if rule not in in_order:
+        in_order.add(rule)
         order.append(rule)
-    return order
 
 
 def _random_behavior_spec(rng: Random) -> BehaviorSpec:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
@@ -85,6 +86,20 @@ def test_static_rules_cannot_claim_ids_band():
         FirewallRule("nav", "wheel", Action.DENY, -1)
 
 
+@pytest.mark.parametrize("fields", [
+    ("attacker", "brakes", Action.ALLOW, IDS_PRIORITY, "ids"),  # origin not a RuleOrigin
+    ("nav", "wheel", "allow", 5),  # action not an Action
+    ("nav", "wheel", Action.DENY, 5, "static"),
+    (["nav"], "wheel", Action.ALLOW, 3),  # unhashable id
+    ("nav", None, Action.ALLOW, 3),
+    ("nav", "wheel", Action.ALLOW, 2.5),  # priority not an int
+    ("nav", "wheel", Action.ALLOW, True),
+])
+def test_rule_fields_must_have_their_declared_types(fields):
+    with pytest.raises(GatewayError):
+        FirewallRule(*fields)
+
+
 def test_injected_deny_outranks_any_static_allow():
     firewall = Firewall()
     firewall.add_rule(_allow("attacker", "brakes", 1))  # best legal static slot
@@ -97,27 +112,40 @@ def test_injected_deny_outranks_any_static_allow():
 
 
 def test_randomized_equivalence_with_reference():
+    """Random tables, edited between queries by removing and re-adding rules,
+    and queried with ids that may be the literal '*'."""
     rng = Random(0x6A7E)
     apps = ["nav", "radio", "diag", "telpho", "*"]
     resources = ["wheel", "engine", "brakes", "gps", "*"]
     for trial in range(300):
         firewall = Firewall()
-        oracle_rules = []
-        for seq in range(rng.randint(0, 8)):
+        oracle_rules = {}  # rule -> (priority, seq, app, resource, "*", allow)
+        seqs = itertools.count()
+
+        def add(rule):
+            added = firewall.add_rule(rule)
+            assert added == (rule not in oracle_rules)  # duplicates are no-ops
+            if added:
+                oracle_rules[rule] = (rule.priority, next(seqs), rule.app_id,
+                                      rule.resource_id, "*", rule.action is Action.ALLOW)
+
+        for _ in range(rng.randint(0, 8)):
+            add(FirewallRule(rng.choice(apps), rng.choice(resources),
+                             rng.choice((Action.ALLOW, Action.DENY)), rng.randint(1, 5)))
+        for _ in range(10):
+            if oracle_rules and rng.random() < 0.3:
+                rule = rng.choice(sorted(oracle_rules, key=oracle_rules.get))
+                assert firewall.remove_rule(rule)
+                del oracle_rules[rule]
+                assert not firewall.remove_rule(rule)
+                if rng.random() < 0.5:
+                    add(rule)  # re-added: ranks after every rule added before
             app = rng.choice(apps)
             resource = rng.choice(resources)
-            allow = rng.random() < 0.5
-            priority = rng.randint(1, 5)
-            added = firewall.add_rule(FirewallRule(
-                app, resource, Action.ALLOW if allow else Action.DENY, priority))
-            if added:  # duplicates are no-ops on both sides
-                oracle_rules.append((priority, seq, app, resource, "*", allow))
-        for _ in range(10):
-            app = rng.choice(apps[:-1])
-            resource = rng.choice(resources[:-1])
-            expected = access_reference(oracle_rules, app, resource, "*")
+            expected = access_reference(list(oracle_rules.values()), app, resource, "*")
             got = firewall.check_access(app, resource) is Action.ALLOW
             assert got == expected, (trial, app, resource, oracle_rules)
+        assert firewall.rules == sorted(oracle_rules, key=oracle_rules.get)
 
 
 # -- behavior specification ---------------------------------------------------------
@@ -139,6 +167,22 @@ def test_range_spec_bounds_inclusive():
 
     with pytest.raises(GatewayError):
         RangeSpec(5, 4)
+
+
+@pytest.mark.parametrize("low, high", [(float("nan"), 90.0), (0.0, float("nan")),
+                                       (float("nan"), float("nan"))])
+def test_range_spec_rejects_a_nan_bound(low, high):
+    with pytest.raises(GatewayError):
+        RangeSpec(low, high)
+
+
+def test_range_spec_may_be_open():
+    inf = float("inf")
+    detector = IntrusionDetector(BehaviorSpec({"odometer": RangeSpec(0, inf),
+                                               "offset": RangeSpec(-inf, inf)}))
+    assert detector.observe(InVehicleEvent("meter", "odometer", 1e300, 0)) is None
+    assert detector.observe(InVehicleEvent("meter", "offset", -1e300, 0)) is None
+    assert detector.observe(InVehicleEvent("meter", "odometer", -1, 0)).kind == "out_of_range"
 
 
 def test_transition_spec_must_be_total():
