@@ -146,6 +146,11 @@ class OmissionStrategy:
     beta: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variant, OmissionVariant):
+            raise BeaconingError(f"variant must be an OmissionVariant, got {self.variant!r}")
+        for count in (self.alpha, self.beta):
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise BeaconingError(f"alpha and beta must be ints, got {count!r}")
         if self.alpha < 1:
             raise BeaconingError("alpha must be >= 1")
         if self.beta < 0:

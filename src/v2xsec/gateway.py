@@ -188,12 +188,12 @@ class IntrusionDetector:
         if spec is None:
             return self._flag("undeclared_signal", event, "signal not in behavior spec")
         if isinstance(spec, RangeSpec):
-            if isinstance(event.value, str):
-                return self._flag("type_mismatch", event, "numeric signal got a state value")
-            if not (spec.low <= event.value <= spec.high):
+            value = event.value
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                return self._flag("type_mismatch", event, "numeric signal got a non-number")
+            if not (spec.low <= value <= spec.high):
                 return self._flag(
-                    "out_of_range", event,
-                    f"value {event.value} outside [{spec.low}, {spec.high}]",
+                    "out_of_range", event, f"value {value} outside [{spec.low}, {spec.high}]"
                 )
             return None
         # transition spec

@@ -14,6 +14,7 @@ bit-for-bit agreement.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from random import Random
 
@@ -265,7 +266,7 @@ def run_hsm_security_suite(
 # -- gateway equivalence -------------------------------------------------------------
 
 
-def reference_access_decision(rules: list[FirewallRule], app_id: str,
+def reference_access_decision(rules: Iterable[FirewallRule], app_id: str,
                               resource_id: str) -> Action:
     """Straight-line re-statement of the firewall semantics for cross-checks."""
     best: tuple[int, int] | None = None
@@ -300,8 +301,8 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
     checked = 0
 
     firewall = Firewall()
-    insertion_order: list[FirewallRule] = []
-    in_table: set[FirewallRule] = set()  # the rules of insertion_order
+    # the firewall's rules in insertion order; a duplicate keeps its first place
+    table: dict[FirewallRule, None] = {}
     spec = _random_behavior_spec(rng)
     detector = IntrusionDetector(spec)
     shadow_state: dict[str, str] = {}
@@ -309,8 +310,7 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
     for step in range(events):
         if step % 250 == 0:
             firewall = Firewall()
-            insertion_order = []
-            in_table = set()
+            table = {}
             spec = _random_behavior_spec(rng)
             detector = IntrusionDetector(spec)
             shadow_state = {}
@@ -321,15 +321,15 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
                     action=rng.choice((Action.ALLOW, Action.DENY)),
                     priority=rng.randint(1, 20),
                 )
-                if firewall.add_rule(rule):
-                    _with_rule(insertion_order, in_table, rule)
+                firewall.add_rule(rule)
+                table[rule] = None
         roll = rng.random()
         if roll < 0.5:
             app = rng.choice(apps[:-1])
             resource = rng.choice(resources[:-1])
             checked += 1
             if firewall.check_access(app, resource) != reference_access_decision(
-                insertion_order, app, resource
+                table, app, resource
             ):
                 mismatches += 1
         else:
@@ -341,11 +341,11 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
                 ids_false_alarms += 1
             if anomaly is not None:
                 injected = detector.react(anomaly, firewall)
-                _with_rule(insertion_order, in_table, injected)
+                table[injected] = None
                 # give the offender a top static allow and verify the IDS rule wins
                 contender = FirewallRule(event.source_app, event.signal, Action.ALLOW, 1)
-                if firewall.add_rule(contender):
-                    _with_rule(insertion_order, in_table, contender)
+                firewall.add_rule(contender)
+                table[contender] = None
                 if firewall.check_access(event.source_app, event.signal) != Action.DENY:
                     dominance_failures += 1
 
@@ -356,13 +356,6 @@ def run_gateway_suite(events: int = 10_000, seed: int = 0xF11e) -> SelfTestRepor
                f"misses={ids_misses} false_alarms={ids_false_alarms}")
     report.add("injected deny rules dominate static allows", dominance_failures == 0)
     return report
-
-
-def _with_rule(order: list[FirewallRule], in_order: set[FirewallRule],
-               rule: FirewallRule) -> None:
-    if rule not in in_order:
-        in_order.add(rule)
-        order.append(rule)
 
 
 def _random_behavior_spec(rng: Random) -> BehaviorSpec:

@@ -9,10 +9,19 @@ straight into the receiver's ``BeaconSecurity`` (secured) or the application
 (unsecured). A receiver's security layer owns all of its per-neighbor state,
 including time to trust, which the run collects from every layer when it ends.
 
-Determinism: one virtual clock drives every component; all randomness comes
-from named streams derived from the scenario seed; the event queue orders
-ties by (event kind, vehicle id, insertion sequence). Two runs of the same
-scenario and seed produce identical metrics.
+Determinism: one virtual clock drives every component and all randomness
+comes from named streams derived from the scenario seed. Two runs of the
+same scenario and seed produce identical metrics.
+
+Order within one millisecond, a contract: events run by (time, kind,
+vehicle id), kinds as numbered below, ids ascending (-1 for the run-wide
+tick, verify and end; the sender for a delivery). No two events share that
+key: tick, verify and end are each one chain; a vehicle emits at most once
+per millisecond and its deliveries follow a fixed delay later; ``warned``
+lets a follower brake once, and no beacon or hazard lies ahead of the
+leader, whose only brake is the scripted one. A tie would make the heap
+compare payloads: two ``None`` are equal and harmless, two deliveries of
+different beacons raise ``TypeError``, so a broken contract fails loudly.
 
 Mobility is piecewise constant-acceleration. Crashes are resolved exactly:
 within each advance segment the earliest gap crossing is computed
@@ -33,7 +42,6 @@ beacons so warnings relay down the platoon.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from heapq import heappop, heappush
 from random import Random
@@ -56,10 +64,8 @@ from ..suites import VerdictMemo, get_suite
 from .metrics import CrashEvent, EmissionRecord, RunMetrics
 from .scenario import ScenarioConfig
 
-# Event kinds in tie-break order: mobility first, then brake onsets (vehicle
-# 0's scripted one, then the followers' by id), then emissions, deliveries,
-# and finally verification work at the same time. The end of the run follows
-# every other event at its time.
+# Event kinds in their order at one time: mobility, brake onsets, emissions,
+# deliveries, verification work, and the end of the run.
 _K_TICK = 0
 _K_BRAKE = 1
 _K_EMIT = 2
@@ -132,9 +138,9 @@ class HighwaySimulation:
         self.total_tx_bytes = 0
         self._radio_stale = True
 
-        # One event queue, ordered by (time, kind, vid, insertion sequence).
-        self._heap: list[tuple[int, int, int, int, object]] = []
-        self._seq = itertools.count()
+        # One event queue of (time, kind, vid, payload); no two entries share
+        # (time, kind, vid), as the module docstring sets out.
+        self._heap: list[tuple[int, int, int, object]] = []
 
         self.nodes: list[_Node] = []
         self._security_layers: list[BeaconSecurity] = []
@@ -211,12 +217,12 @@ class HighwaySimulation:
     # -- event machinery -----------------------------------------------------------
 
     def _push(self, time_ms: int, kind: int, vid: int, payload: object) -> None:
-        heappush(self._heap, (time_ms, kind, vid, next(self._seq), payload))
+        heappush(self._heap, (time_ms, kind, vid, payload))
 
     def run(self) -> RunMetrics:
         heap = self._heap
         while True:
-            time_ms, kind, vid, _, payload = heappop(heap)
+            time_ms, kind, vid, payload = heappop(heap)
             if kind == _K_DELIVER:
                 self._handle_delivery(payload, time_ms)
             elif kind == _K_EMIT:
@@ -293,7 +299,7 @@ class HighwaySimulation:
         receivers = self.in_range[vid]
         if receivers:
             heappush(self._heap, (now + config.propagation_delay_ms, _K_DELIVER, vid,
-                                  next(self._seq), (sent, receivers)))
+                                  (sent, receivers)))
         next_t = now + config.beacon_interval_ms
         if next_t < self.duration_ms:
             self._push(next_t, _K_EMIT, vid, None)

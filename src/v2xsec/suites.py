@@ -228,12 +228,12 @@ class FastHashSuite:
 class VerdictMemo:
     """A suite that remembers the verdicts a simulation run can still ask for.
 
-    A verdict is a pure function of (public key, data, signature). In a
-    simulation every beacon reaches several receivers with the same three
-    values, and each receiver checks the same certificate on first contact,
-    so ``verify`` asks the wrapped suite once per distinct triple and answers
-    repeats, failures included, from memory. Callers still ask for every
-    check and get the answer a fresh computation would give.
+    A verdict is a pure function of (public key, data, signature), each given
+    as ``bytes``. In a simulation every beacon reaches several receivers with
+    the same three values, and each receiver checks the same certificate on
+    first contact, so ``verify`` asks the wrapped suite once per distinct
+    triple and answers repeats, failures included, from memory. Callers still
+    ask for every check and get the answer a fresh computation would give.
 
     Memory is an LRU of the ``_CAPACITY`` most recently asked verdicts: a
     repeat answered from memory becomes the most recent, and a new verdict
@@ -242,8 +242,8 @@ class VerdictMemo:
     every shipped scenario, and the memory spans about 9 simulated seconds
     of the densest shipped traffic, so what is dropped can no longer be
     asked for; if it is, the suite gives the same verdict again. Input that
-    cannot be hashed, such as a ``bytearray`` or a writable ``memoryview``,
-    goes straight to the suite. Build one per run, so that nothing carries
+    cannot be hashed, a ``bytearray`` or a writable ``memoryview``, raises
+    before the suite is asked. Build one per run, so that nothing carries
     over from one run to the next; every other operation is the wrapped
     suite's own.
     """
@@ -254,17 +254,7 @@ class VerdictMemo:
         self.ecdh_sender = suite.ecdh_sender
         self.ecdh_receiver = suite.ecdh_receiver
         self.private_scalar_bytes = suite.private_scalar_bytes
-        self._verdicts = functools.lru_cache(maxsize=_CAPACITY)(suite.verify)
-
-    def verify(self, public_key: bytes, data: bytes, signature: bytes) -> bool:
-        try:
-            return self._verdicts(public_key, data, signature)
-        except (TypeError, ValueError):
-            try:  # unhashable: a bytearray, a writable memoryview
-                hash((public_key, data, signature))
-            except (TypeError, ValueError):
-                return self._verdicts.__wrapped__(public_key, data, signature)
-            raise  # the suite's own error, from its one call
+        self.verify = functools.lru_cache(maxsize=_CAPACITY)(suite.verify)
 
 
 SignatureSuite = P224Suite | FastHashSuite | VerdictMemo

@@ -60,21 +60,6 @@ def dispatch_reference(handlers, message, direction, max_reinserts=4):
             return current
 
 
-# -- gateway access reference ---------------------------------------------------------
-
-
-def access_reference(rules, source, destination, service):
-    """First match in (priority, insertion order) wins; no match denies.
-
-    ``rules`` is the list of (priority, seq, src, dst, service, allow) with
-    "*" wildcards, in any order.
-    """
-    for _, _, r_src, r_dst, r_svc, allow in sorted(rules, key=lambda r: (r[0], r[1])):
-        if r_src in ("*", source) and r_dst in ("*", destination) and r_svc in ("*", service):
-            return allow
-    return False
-
-
 # -- certificate attachment reference --------------------------------------------------
 
 

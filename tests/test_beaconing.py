@@ -24,6 +24,7 @@ from v2xsec.beaconing import (
     NeighborEntry,
     NoActivePseudonymError,
     OmissionStrategy,
+    OmissionVariant,
     SecuredBeacon,
     decide_attach,
 )
@@ -178,6 +179,18 @@ def test_strategy_validation():
         OmissionStrategy.periodic(alpha=0)
     with pytest.raises(BeaconingError):
         OmissionStrategy.neighbor_triggered(beta=-1)
+
+
+@pytest.mark.parametrize("fields", [
+    ("always",),  # a string would fall through to the neighbor-triggered branch
+    (OmissionVariant.PERIODIC, 2.5),
+    (OmissionVariant.PERIODIC, True),
+    (OmissionVariant.NEIGHBOR_TRIGGERED, 1, 1.0),
+    (OmissionVariant.NEIGHBOR_TRIGGERED, 1, False),
+], ids=["string-variant", "float-alpha", "bool-alpha", "float-beta", "bool-beta"])
+def test_strategy_takes_a_variant_and_int_counts(fields):
+    with pytest.raises(BeaconingError):
+        OmissionStrategy(*fields)
 
 
 def test_decide_attach_basics():

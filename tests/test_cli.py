@@ -172,6 +172,21 @@ def test_sweep_subcommand(scenario_file, tmp_path, capsys):
     assert intervals == ["100", "100", "200", "200"]  # first axis outermost
 
 
+def test_sweep_with_two_jobs_writes_the_serial_csv(tmp_path):
+    """``--jobs 2`` runs the grid in a pool of two worker processes and
+    writes the same rows, in grid order, as one process does."""
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["sweep", "--scenario", SMOKE, "--grid", "duration_s=3",
+                     "--grid", "seed=1,2", "--jobs", jobs, "--out", str(out)]) == 0
+        written.append(out.read_text())
+    serial, pooled = written
+    assert pooled == serial
+    rows = list(csv.reader(serial.splitlines()))
+    assert [row[CSV_COLUMNS.index("seed")] for row in rows[1:]] == ["1", "2"]
+
+
 def test_sweep_without_grid_exits_2(scenario_file, capsys):
     assert main(["sweep", "--scenario", scenario_file]) == 2
     assert "grid axis" in capsys.readouterr().err

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from random import Random
 
 import pytest
@@ -21,8 +20,7 @@ from v2xsec.gateway import (
     RuleOrigin,
     TransitionSpec,
 )
-
-from .oracles import access_reference
+from v2xsec.selftest import reference_access_decision
 
 
 def _allow(app, resource, priority):
@@ -119,33 +117,31 @@ def test_randomized_equivalence_with_reference():
     resources = ["wheel", "engine", "brakes", "gps", "*"]
     for trial in range(300):
         firewall = Firewall()
-        oracle_rules = {}  # rule -> (priority, seq, app, resource, "*", allow)
-        seqs = itertools.count()
+        table = {}  # the firewall's rules, in insertion order
 
         def add(rule):
             added = firewall.add_rule(rule)
-            assert added == (rule not in oracle_rules)  # duplicates are no-ops
+            assert added == (rule not in table)  # duplicates are no-ops
             if added:
-                oracle_rules[rule] = (rule.priority, next(seqs), rule.app_id,
-                                      rule.resource_id, "*", rule.action is Action.ALLOW)
+                table[rule] = None
 
         for _ in range(rng.randint(0, 8)):
             add(FirewallRule(rng.choice(apps), rng.choice(resources),
                              rng.choice((Action.ALLOW, Action.DENY)), rng.randint(1, 5)))
         for _ in range(10):
-            if oracle_rules and rng.random() < 0.3:
-                rule = rng.choice(sorted(oracle_rules, key=oracle_rules.get))
+            if table and rng.random() < 0.3:
+                rule = rng.choice(sorted(table, key=lambda r: r.priority))
                 assert firewall.remove_rule(rule)
-                del oracle_rules[rule]
+                del table[rule]
                 assert not firewall.remove_rule(rule)
                 if rng.random() < 0.5:
                     add(rule)  # re-added: ranks after every rule added before
             app = rng.choice(apps)
             resource = rng.choice(resources)
-            expected = access_reference(list(oracle_rules.values()), app, resource, "*")
-            got = firewall.check_access(app, resource) is Action.ALLOW
-            assert got == expected, (trial, app, resource, oracle_rules)
-        assert firewall.rules == sorted(oracle_rules, key=oracle_rules.get)
+            expected = reference_access_decision(table, app, resource)
+            assert firewall.check_access(app, resource) is expected, (trial, app, resource, table)
+        # a stable sort keeps insertion order among equal priorities
+        assert firewall.rules == sorted(table, key=lambda r: r.priority)
 
 
 # -- behavior specification ---------------------------------------------------------
@@ -174,6 +170,17 @@ def test_range_spec_bounds_inclusive():
 def test_range_spec_rejects_a_nan_bound(low, high):
     with pytest.raises(GatewayError):
         RangeSpec(low, high)
+
+
+@pytest.mark.parametrize("value", [None, b"12", [1], 1j, True, False],
+                         ids=["none", "bytes", "list", "complex", "true", "false"])
+def test_range_signal_flags_a_value_that_is_not_a_number(value):
+    """Anything but an int or a float, a bool included, is a type mismatch,
+    never an exception and never a reading of 1 or 0."""
+    detector = IntrusionDetector(BehaviorSpec({"speed": RangeSpec(0, 90)}))
+    anomaly = detector.observe(InVehicleEvent("cruise", "speed", value, 0))
+    assert anomaly is not None and anomaly.kind == "type_mismatch"
+    assert detector.observe(InVehicleEvent("cruise", "speed", 12, 0)) is None
 
 
 def test_range_spec_may_be_open():

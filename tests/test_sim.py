@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import heapq
 import os
 import subprocess
 import sys
@@ -175,7 +176,7 @@ def test_each_run_has_its_own_verdict_memo(monkeypatch):
     assert 0 < first_calls < metrics.verification_units / 2
     second = HighwaySimulation(config)
     assert second.suite is not first.suite
-    assert second.suite._verdicts.cache_info().currsize == 0
+    assert second.suite.verify.cache_info().currsize == 0
     assert _fingerprint(second.run()) == _fingerprint(metrics)
     assert len(calls) == 2 * first_calls
 
@@ -185,7 +186,7 @@ def test_verdict_memo_holds_at_most_its_capacity():
     at most ``_CAPACITY`` verdicts, however long it runs."""
     sim = HighwaySimulation(_repository_scenario("overhead.ini", duration_s="30"))
     sim.run()
-    assert 0 < sim.suite._verdicts.cache_info().currsize <= _CAPACITY
+    assert 0 < sim.suite.verify.cache_info().currsize <= _CAPACITY
 
 
 # -- mode basics ---------------------------------------------------------------------
@@ -451,6 +452,31 @@ def test_zero_delay_braking_matches_recorded_run(mode):
     assert metrics.csv_row() == row
     assert metrics.crash_events == []
     assert metrics.final_positions == positions
+
+
+@pytest.mark.parametrize("name, overrides", [
+    pytest.param("braking.ini", {"security_mode": mode, "propagation_delay_ms": "0",
+                                 "reaction_delay_ms": "0"}, id=f"braking-{mode}-no-delay")
+    for mode in ("novc", "unsecured", "secured")
+] + [pytest.param("smoke.ini", {}, id="smoke")])
+def test_no_two_events_share_a_queue_key(monkeypatch, name, overrides):
+    """The engine's order contract: (time, kind, vehicle id) is unique per
+    event, so no other field of a queue entry ever decides an order."""
+    keys = []
+
+    def recording(heap, entry):
+        keys.append(entry[:3])
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(engine, "heappush", recording)
+    metrics = run_scenario(_repository_scenario(name, **overrides))
+    assert len(set(keys)) == len(keys)
+    kinds = {kind for _, kind, _ in keys}
+    assert engine._K_END in kinds and engine._K_TICK in kinds
+    if metrics.config.braking_enabled:
+        assert engine._K_BRAKE in kinds
+    if metrics.config.security_mode != "novc":
+        assert {engine._K_EMIT, engine._K_DELIVER} <= kinds
 
 
 # -- scenario files --------------------------------------------------------------------

@@ -195,7 +195,7 @@ def test_verdict_memo_gives_the_suite_verdict(suite_name):
 
 
 @pytest.mark.parametrize("suite_class", [P224Suite, FastHashSuite])
-def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_class):
+def test_verdict_memo_asks_once_per_triple_and_refuses_unhashable_input(suite_class):
     suite, calls = _counted(suite_class())
     memo = VerdictMemo(suite)
     priv, pub = suite.generate_keypair(Random(1))
@@ -204,10 +204,12 @@ def test_verdict_memo_asks_once_per_triple_and_passes_unhashable_input(suite_cla
     assert len(calls) == 1
     sig = suite.sign(priv, b"data")
     for _ in range(2):
-        assert memo.verify(pub, bytearray(b"data"), sig)
-        assert not memo.verify(pub, bytearray(b"data"), bad[2])
-    assert len(calls) == 5
-    assert memo._verdicts.cache_info().currsize == 1
+        with pytest.raises(TypeError):
+            memo.verify(pub, bytearray(b"data"), sig)
+    assert len(calls) == 1  # refused before the suite is asked
+    assert memo.verify(pub, b"data", sig)
+    assert len(calls) == 2
+    assert memo.verify.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("suite_class", [P224Suite, FastHashSuite])
@@ -222,7 +224,6 @@ def test_verdict_memo_asks_the_suite_once_when_it_raises(suite_class):
 @pytest.mark.parametrize("suite_name", ["p224", "fast"])
 def test_bytearray_input_gets_the_bytes_verdict(suite_name):
     suite = get_suite(suite_name)
-    memo = VerdictMemo(suite)
     rng = Random(17)
     priv, pub = suite.generate_keypair(rng)
     _, other_pub = suite.generate_keypair(rng)
@@ -233,18 +234,25 @@ def test_bytearray_input_gets_the_bytes_verdict(suite_name):
         (pub, b"payload", sig[:-1] + bytes([sig[-1] ^ 1])),
         (other_pub, b"payload", sig),
     ]
+    counted, calls = _counted(type(suite)())
+    memo = VerdictMemo(counted)
     for case in cases:
         expected = suite.verify(*case)
-        # a bytearray and a writable view cannot be dict keys; a read-only view hashes like bytes
         for wrap in (bytearray, memoryview, lambda part: memoryview(bytearray(part))):
             for position in range(3):
                 mixed = list(case)
                 mixed[position] = wrap(mixed[position])
                 assert suite.verify(*mixed) == expected
-                assert memo.verify(*mixed) == expected
+                if wrap is memoryview:  # read-only: hashes like bytes
+                    assert memo.verify(*mixed) == expected
+                    continue
+                asked = len(calls)
+                # unhashable: a bytearray raises TypeError, a writable view ValueError
+                with pytest.raises((TypeError, ValueError)):
+                    memo.verify(*mixed)
+                assert len(calls) == asked
             every = [wrap(part) for part in case]
             assert suite.verify(*every) == expected
-            assert memo.verify(*every) == expected
 
 
 def test_verdict_memo_drops_the_least_recently_asked(monkeypatch):
@@ -266,7 +274,7 @@ def test_verdict_memo_drops_the_least_recently_asked(monkeypatch):
     assert len(calls) == 4
     for i in range(20):  # never more than the capacity
         memo.verify(pub, bytes([i % 7]), sig)
-        assert memo._verdicts.cache_info().currsize <= 2
+        assert memo.verify.cache_info().currsize <= 2
 
 
 @pytest.mark.parametrize("suite_name", ["p224", "fast"])
